@@ -3,13 +3,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/action_checker.hpp"
-#include "core/drl_engine.hpp"
-#include "core/interface_daemon.hpp"
+#include "core/brain.hpp"
 #include "core/remote_brain.hpp"
-#include "core/trace_replay.hpp"
-#include "rl/action_space.hpp"
-#include "rl/replay_db.hpp"
 #include "util/frame.hpp"
 #include "util/logging.hpp"
 
@@ -17,153 +12,37 @@ namespace capes::core {
 
 namespace {
 
-/// One control domain's service-side stand-in: the action decoder, the
-/// Action Checker, and the parameter mirror vetoes are checked against.
-/// Both sides apply the same deterministic broadcast logic, so the
-/// mirror tracks the agent-side parameter vector exactly.
-struct DomainMirror {
-  std::unique_ptr<rl::ActionSpace> space;  ///< stable address for checker
-  std::unique_ptr<ActionChecker> checker;
-  std::vector<double> params;
-  std::size_t action_offset = 1;
-};
-
-struct Session {
-  capture::TraceMeta meta;
-  std::unique_ptr<rl::ReplayDb> replay;
-  /// The daemon is ingest-only (status routing + replay writes); action
-  /// decoding lives in the mirrors, so an empty space satisfies the
-  /// legacy single-shard constructor — exactly as TraceReplayer does.
-  std::unique_ptr<rl::ActionSpace> ingest_space;
-  std::unique_ptr<InterfaceDaemon> daemon;
-  std::unique_ptr<DrlEngine> engine;
-  std::vector<DomainMirror> mirrors;
-  std::size_t total_train_steps = 0;
-  std::vector<std::uint8_t> broadcast_scratch;
-};
-
-std::unique_ptr<Session> build_session(const HelloPayload& hello,
-                                       std::string* error) {
+/// A Hello the Brain can be built from: a non-empty topology whose domain
+/// action slices tile the composite action space contiguously from 1 —
+/// the layout CapesSystem builds — so every suggestion routes in-slice.
+bool validate_hello(const HelloPayload& hello, std::string* error) {
   const capture::TraceMeta& meta = hello.meta;
   if (meta.num_nodes == 0 || meta.pis_per_node == 0 || meta.num_actions == 0 ||
       hello.domains.empty()) {
     *error = "Hello describes an empty topology";
-    return nullptr;
+    return false;
   }
-  std::size_t slice_actions = 0;
-  for (const RemoteDomain& d : hello.domains) {
-    slice_actions += 2 * d.params.size();
+  std::uint64_t next_offset = 1;
+  for (const ShardLayout& d : hello.domains) {
+    if (d.action_offset != next_offset) {
+      *error = "Hello action slices are not contiguous from 1";
+      return false;
+    }
+    next_offset += 2 * static_cast<std::uint64_t>(d.params.size());
   }
-  if (slice_actions + 1 != meta.num_actions) {
+  if (next_offset != meta.num_actions) {
     *error = "Hello action-space layout disagrees with its meta";
-    return nullptr;
+    return false;
   }
-
-  auto session = std::make_unique<Session>();
-  session->meta = meta;
-
-  rl::ReplayDbOptions replay_opts;
-  replay_opts.num_nodes = meta.num_nodes;
-  replay_opts.pis_per_node = meta.pis_per_node;
-  replay_opts.ticks_per_observation = meta.ticks_per_observation;
-  replay_opts.missing_tolerance = meta.missing_tolerance;
-  replay_opts.max_ticks_retained = meta.max_ticks_retained;
-  session->replay = std::make_unique<rl::ReplayDb>(replay_opts);
-
-  session->ingest_space =
-      std::make_unique<rl::ActionSpace>(std::vector<rl::TunableParameter>{});
-  session->daemon = std::make_unique<InterfaceDaemon>(
-      *session->replay, *session->ingest_space, meta.num_nodes,
-      meta.pis_per_node);
-
-  DrlEngineOptions engine_opts = engine_options_from_meta(meta);
-  engine_opts.seed = meta.engine_seed;
-  engine_opts.dqn.seed = meta.dqn_seed;
-  session->engine = std::make_unique<DrlEngine>(engine_opts, *session->replay);
-
-  session->mirrors.reserve(hello.domains.size());
-  for (const RemoteDomain& d : hello.domains) {
-    DomainMirror mirror;
-    mirror.space = std::make_unique<rl::ActionSpace>(d.params);
-    mirror.checker = std::make_unique<ActionChecker>(*mirror.space);
-    mirror.params = mirror.space->initial_values();
-    mirror.action_offset = static_cast<std::size_t>(d.action_offset);
-    session->mirrors.push_back(std::move(mirror));
-  }
-  return session;
-}
-
-/// The remote mirror of route_suggested_action + apply_checked_action +
-/// the training step, closing one tick barrier.
-void handle_tick_done(Session& session, net::Endpoint& endpoint,
-                      std::int64_t t, std::uint8_t mode,
-                      BrainServiceReport& report) {
-  const bool training = mode == kPhaseTraining;
-  std::size_t suggested = 0;
-  if (training || mode == kPhaseTuned) {
-    suggested = session.engine->compute_action(t, training);
-  }
-
-  // Route the composite index to the owning mirror (NULL -> mirror 0, so
-  // checker rules still see it — same as the in-process daemon).
-  std::size_t shard = 0;
-  std::size_t local = 0;
-  if (suggested != 0) {
-    while (shard + 1 < session.mirrors.size() &&
-           suggested >= session.mirrors[shard + 1].action_offset) {
-      ++shard;
-    }
-    local = suggested - session.mirrors[shard].action_offset + 1;
-  }
-  DomainMirror& mirror = session.mirrors[shard];
-  std::size_t recorded = suggested;
-  if (local >= mirror.space->num_actions()) {
-    // A suggestion outside every slice can only come from a client/meta
-    // mismatch that slipped past the Hello check; degrade to NULL.
-    recorded = 0;
-    ++report.actions_vetoed;
-  } else {
-    const rl::DecodedAction decoded = mirror.space->decode(local);
-    if (!mirror.checker->check(decoded, mirror.params)) {
-      recorded = 0;  // vetoed -> NULL action
-      ++report.actions_vetoed;
-    } else if (!decoded.null_action) {
-      mirror.space->apply(decoded, mirror.params);
-      session.broadcast_scratch.resize(mirror.params.size() * 8);
-      for (std::size_t i = 0; i < mirror.params.size(); ++i) {
-        util::put_le_f64(session.broadcast_scratch.data() + 8 * i,
-                         mirror.params[i]);
-      }
-      endpoint.send(frame_type(capture::RecordType::kBroadcast), t,
-                    kActionTopicBase + shard, shard,
-                    session.broadcast_scratch.data(),
-                    session.broadcast_scratch.size());
-      ++report.actions_broadcast;
-    }
-  }
-  session.replay->record_action(t, recorded);
-
-  std::size_t steps = 0;
-  if (training) {
-    steps = session.engine->train_tick();
-    session.total_train_steps += steps;
-    report.train_steps += steps;
-  }
-
-  std::uint8_t done[20];
-  util::put_le32(done, static_cast<std::uint32_t>(suggested));
-  util::put_le32(done + 4, static_cast<std::uint32_t>(recorded));
-  util::put_le32(done + 8, static_cast<std::uint32_t>(steps));
-  util::put_le64(done + 12,
-                 static_cast<std::uint64_t>(session.total_train_steps));
-  endpoint.send(kFrameActionsDone, t, 0, 0, done, sizeof(done));
+  return true;
 }
 
 }  // namespace
 
 BrainServiceReport BrainService::serve(net::Endpoint& endpoint) {
   BrainServiceReport report;
-  std::unique_ptr<Session> session;
+  std::vector<std::uint8_t> broadcast_scratch;  // outlives the brain's sink
+  std::unique_ptr<Brain> brain;
   bool stop = false;
   while (!stop) {
     net::InSlot* slot = endpoint.recv();
@@ -171,82 +50,93 @@ BrainServiceReport BrainService::serve(net::Endpoint& endpoint) {
     const net::Frame& frame = slot->frame;
     switch (frame.type) {
       case kFrameHello: {
-        const auto hello = decode_hello(frame.payload);
+        auto hello = decode_hello(frame.payload);
         if (!hello) {
-          report.error = "undecodable Hello (protocol-version mismatch?)";
+          report.error =
+              "undecodable Hello (protocol-version mismatch or garbled "
+              "payload)";
           stop = true;
           break;
         }
-        std::string error;
-        session = build_session(*hello, &error);
-        if (session == nullptr) {
-          report.error = error;
+        if (!validate_hello(*hello, &report.error)) {
           stop = true;
           break;
         }
+        report.num_domains = hello->domains.size();
+        brain = std::make_unique<Brain>(hello->meta, std::move(hello->domains));
+        // The daemon's checked broadcasts go back over the wire.
+        brain->daemon().set_broadcast_sink(
+            [&endpoint, &broadcast_scratch](std::int64_t t, std::size_t shard,
+                                            const std::vector<double>& values) {
+              broadcast_scratch.resize(values.size() * 8);
+              for (std::size_t i = 0; i < values.size(); ++i) {
+                util::put_le_f64(broadcast_scratch.data() + 8 * i, values[i]);
+              }
+              endpoint.send(frame_type(capture::RecordType::kBroadcast), t,
+                            kActionTopicBase + shard, shard,
+                            broadcast_scratch.data(), broadcast_scratch.size());
+            });
         report.hello_ok = true;
-        report.num_domains = session->mirrors.size();
         std::uint8_t ack[8];
         util::put_le32(ack, kWireProtoVersion);
-        util::put_le32(ack + 4, session->engine->weights_fingerprint());
+        util::put_le32(ack + 4, brain->weights_fingerprint());
         endpoint.send(kFrameHelloAck, 0, 0, 0, ack, sizeof(ack));
         break;
       }
       case kFrameTickDone:
-        if (session != nullptr && !frame.payload.empty()) {
-          handle_tick_done(*session, endpoint, frame.tick, frame.payload[0],
-                           report);
+        if (brain != nullptr && !frame.payload.empty()) {
+          const TickOutcome outcome =
+              brain->end_tick(frame.tick, frame.payload[0], nullptr);
+          report.train_steps += outcome.train_steps;
           ++report.ticks;
+          std::uint8_t done[20];
+          util::put_le32(done, static_cast<std::uint32_t>(outcome.suggested));
+          util::put_le32(done + 4, static_cast<std::uint32_t>(outcome.recorded));
+          util::put_le32(done + 8, static_cast<std::uint32_t>(outcome.train_steps));
+          util::put_le64(done + 12, outcome.total_train_steps);
+          endpoint.send(kFrameActionsDone, frame.tick, 0, 0, done, sizeof(done));
         }
         break;
       case kFrameParamsReset:
-        if (session != nullptr) {
-          for (DomainMirror& mirror : session->mirrors) {
-            mirror.params = mirror.space->initial_values();
-          }
-        }
+        if (brain != nullptr) brain->reset_params(frame.tick);
         break;
       case kFrameBye:
         report.clean_shutdown = true;
         stop = true;
         break;
       default:
+        if (brain == nullptr) break;
         if (frame.type == frame_type(capture::RecordType::kStatus)) {
-          if (session != nullptr) {
-            ++report.status_records;
-            session->daemon->on_status_message(frame.payload);
-          }
+          ++report.status_records;
+          brain->daemon().on_status_message(frame.payload);
         } else if (frame.type == frame_type(capture::RecordType::kReward)) {
-          if (session != nullptr && frame.payload.size() >= 8) {
+          if (frame.payload.size() >= 8) {
             ++report.reward_records;
-            session->daemon->on_reward(frame.tick,
-                                       util::get_le_f64(frame.payload.data()));
+            brain->daemon().on_reward(frame.tick,
+                                      util::get_le_f64(frame.payload.data()));
           }
         } else if (frame.type ==
                    frame_type(capture::RecordType::kWorkloadChange)) {
-          if (session != nullptr) session->engine->notify_workload_change();
+          brain->workload_change(frame.tick);
         } else if (frame.type == frame_type(capture::RecordType::kPhaseEnd)) {
-          if (session != nullptr) {
-            // The remote drain_learner(): everything the phase trained is
-            // visible in the fingerprint the ack carries.
-            session->engine->drain_learner();
-            std::uint8_t ack[12];
-            util::put_le32(ack, session->engine->weights_fingerprint());
-            util::put_le64(
-                ack + 4,
-                static_cast<std::uint64_t>(session->total_train_steps));
-            endpoint.send(kFramePhaseEndAck, frame.tick, 0, 0, ack,
-                          sizeof(ack));
-          }
+          // The remote drain_learner(): everything the phase trained is
+          // visible in the fingerprint the ack carries.
+          brain->engine().drain_learner();
+          std::uint8_t ack[12];
+          util::put_le32(ack, brain->weights_fingerprint());
+          util::put_le64(ack + 4, report.train_steps);
+          endpoint.send(kFramePhaseEndAck, frame.tick, 0, 0, ack, sizeof(ack));
         }
         // kPhaseBegin and unknown types: no service-side state to touch.
         break;
     }
     endpoint.recycle(slot);
   }
-  if (session != nullptr) {
-    report.fingerprint = session->engine->weights_fingerprint();
-    report.decode_errors = session->daemon->decode_errors();
+  if (brain != nullptr) {
+    report.fingerprint = brain->weights_fingerprint();
+    report.decode_errors = brain->daemon().decode_errors();
+    report.actions_broadcast = brain->daemon().actions_broadcast();
+    report.actions_vetoed = brain->daemon().actions_vetoed();
   }
   if (!report.error.empty()) {
     CAPES_LOG_WARN("braind") << "session aborted: " << report.error;

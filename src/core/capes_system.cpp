@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "capture/trace_meta.hpp"
+#include "core/brain.hpp"
 #include "core/remote_brain.hpp"
 #include "stats/changepoint.hpp"
 #include "util/alloc_hook.hpp"
@@ -214,43 +215,36 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
   domain_ptrs.reserve(domains_.size());
   for (auto& domain : domains_) domain_ptrs.push_back(domain.get());
 
+  // The brain: in process, or (tcp transport) in a capes_daemond this
+  // system keeps the cluster, the Monitoring/Control Agents, and a
+  // BrainClient connection to. The Hello ships the same TraceMeta snapshot
+  // a capture leads with, so the daemon builds a Brain bit-identical to
+  // the in-process one. Outside this constructor nothing asks which one
+  // it got.
   if (!remote) {
-    if (!opts_.replay_db_dir.empty()) {
-      db_ = std::make_unique<waldb::Database>();
-      if (!db_->open(opts_.replay_db_dir)) db_.reset();
-    }
-    replay_ = std::make_unique<rl::ReplayDb>(opts_.replay, db_.get());
-    daemon_ = std::make_unique<InterfaceDaemon>(*replay_, domain_ptrs, pis,
-                                                transport_.get());
-    engine_ = std::make_unique<DrlEngine>(opts_.engine, *replay_);
-    if (db_) {
-      // Durable learner checkpoints ride the same WAL-framed store as the
-      // replay tables; a restarted tuner resumes mid-training. The replay
-      // cache itself is rebuilt from fresh samples, not reloaded.
-      engine_->set_checkpoint_store(db_.get());
-      engine_->restore_checkpoint(*db_);
-    }
+    auto brain = std::make_unique<Brain>(opts_.replay, opts_.engine,
+                                         opts_.replay_db_dir, domain_ptrs, pis,
+                                         transport_.get());
+    local_ = brain.get();
+    brain_ = std::move(brain);
   } else {
-    // tcp transport: the brain (Replay DB, Interface Daemon, DRL Engine)
-    // lives in a capes_daemond; this process keeps the cluster, the
-    // Monitoring/Control Agents, and a BrainClient connection. The Hello
-    // ships the same TraceMeta snapshot a capture leads with, so the
-    // daemon rebuilds the brain bit-identically to the in-process one.
     if (!opts_.replay_db_dir.empty()) {
       CAPES_LOG_WARN("capes") << "replay_db_dir is ignored under the tcp "
                                  "transport (the replay DB lives in "
                                  "capes_daemond)";
     }
-    client_ = std::make_unique<BrainClient>(*transport_, transport_opts);
+    auto client = std::make_unique<BrainClient>(*transport_, transport_opts);
     std::string error;
-    if (!client_->connect(trace_meta_from(opts_, domains_.size(),
-                                          space_->num_actions(), 0),
-                          domain_ptrs, &error)) {
+    if (!client->connect(trace_meta_from(opts_, domains_.size(),
+                                         space_->num_actions(), 0),
+                         domain_ptrs, &error)) {
       // Like the other constructor preconditions this fails fast: every
       // run method would dereference a half-connected control plane.
       std::fprintf(stderr, "CapesSystem: %s\n", error.c_str());
       std::exit(1);
     }
+    client_ = client.get();
+    brain_ = std::move(client);
   }
 
   if (!opts_.capture_path.empty()) {
@@ -259,20 +253,16 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
     wopts.ring_capacity = opts_.capture_ring;
     // The meta fingerprint is the engine's post-restore starting state —
     // under tcp that engine is remote, and the HelloAck reported it.
-    const std::uint32_t fingerprint =
-        remote ? client_->weights_fingerprint() : engine_->weights_fingerprint();
     capture_ = std::make_unique<capture::WireLogWriter>(
         wopts, trace_meta_from(opts_, domains_.size(), space_->num_actions(),
-                               fingerprint)
+                               brain_->weights_fingerprint())
                    .encode());
     if (!capture_->ok()) {
       CAPES_LOG_WARN("capture")
           << "capture disabled: cannot write " << opts_.capture_path;
       capture_.reset();
-    } else if (remote) {
-      client_->set_capture(capture_.get());
     } else {
-      daemon_->set_capture(capture_.get());
+      brain_->set_capture(capture_.get());
     }
   }
 
@@ -332,9 +322,10 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
 
   // The PI inbox the Monitoring Agents publish into: the daemon's under
   // an in-process brain, the BrainClient's (which forwards over tcp)
-  // under a remote one. Control Agents register with whichever side
-  // delivers the checked broadcasts.
-  PiChannel& inbox = remote ? client_->inbox() : *daemon_->inbox();
+  // under a remote one. An in-process daemon delivers checked broadcasts
+  // to the Control Agents registered with it; the BrainClient applies
+  // them through the domain's own agent list.
+  PiChannel& inbox = brain_->inbox();
   for (auto& domain : domains_) {
     for (std::size_t n = 0; n < domain->num_nodes(); ++n) {
       auto agent = std::make_unique<MonitoringAgent>(
@@ -342,11 +333,9 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
       agents_flat_.push_back(agent.get());
       domain->add_monitoring_agent(std::move(agent));
       auto control = std::make_unique<ControlAgent>(n, domain->adapter());
-      if (!remote) {
-        daemon_->register_control_agent(domain->index(), control.get());
+      if (local_ != nullptr) {
+        local_->daemon().register_control_agent(domain->index(), control.get());
       }
-      // Remote: the BrainClient applies broadcasts through the domain's
-      // own agent list, so ownership below is registration enough.
       domain->add_control_agent(std::move(control));
     }
   }
@@ -357,31 +346,24 @@ CapesSystem::CapesSystem(sim::Simulator& sim,
   for (MonitoringAgent* agent : agents_flat_) {
     agent_by_node_[agent->node()] = agent;
   }
-  auto recycler = [this](std::uint64_t sender,
-                         std::vector<std::uint8_t>&& payload) {
+  brain_->set_payload_recycler([this](std::uint64_t sender,
+                                      std::vector<std::uint8_t>&& payload) {
     if (sender < agent_by_node_.size() && agent_by_node_[sender] != nullptr) {
       agent_by_node_[sender]->recycle_payload(std::move(payload));
     }
-  };
-  if (remote) {
-    client_->set_payload_recycler(std::move(recycler));
-  } else {
-    daemon_->set_payload_recycler(std::move(recycler));
-  }
+  });
 }
 
-CapesSystem::~CapesSystem() {
-  // A remote brain gets a polite Bye so capes_daemond reports a clean
-  // session (vs. inferring loss from a dead link).
-  if (client_) client_->bye(tick_);
-  if (db_) db_->checkpoint();
-}
+// The brain's own destructor closes it: a remote one sends the polite Bye
+// that lets capes_daemond report a clean session, a local one checkpoints
+// a durable Replay DB.
+CapesSystem::~CapesSystem() = default;
 
 void CapesSystem::reset_parameters() {
   for (auto& domain : domains_) domain->reset_parameters();
-  // Keep the daemon-side parameter mirrors (what vetoes are checked
-  // against) in step with the reset.
-  if (client_) client_->reset_params(tick_);
+  // Keep brain-side parameter vectors (what vetoes are checked against)
+  // in step with the reset.
+  brain_->reset_params(tick_);
 }
 
 void CapesSystem::notify_workload_change() {
@@ -389,11 +371,7 @@ void CapesSystem::notify_workload_change() {
     capture_->record(capture::RecordType::kWorkloadChange, tick_, 0, 0,
                      nullptr, 0);
   }
-  if (client_) {
-    client_->workload_change(tick_);
-  } else {
-    engine_->notify_workload_change();
-  }
+  brain_->workload_change(tick_);
 }
 
 void CapesSystem::add_tick_listener(
@@ -407,46 +385,39 @@ void CapesSystem::add_train_step_listener(
 }
 
 std::uint64_t CapesSystem::hot_path_allocations() const {
-  return hot_path_allocs_ +
-         (engine_ != nullptr ? engine_->hot_path_allocations() : 0);
+  return hot_path_allocs_ + brain_->hot_path_allocations();
 }
 
-namespace {
-
-[[noreturn]] void abort_remote_accessor(const char* what) {
-  std::fprintf(stderr,
-               "CapesSystem: %s lives in capes_daemond under the tcp "
-               "transport; use training_fingerprint() / total_train_steps() "
-               "or brain_client()\n",
-               what);
-  std::abort();
+Brain& CapesSystem::local_brain(const char* what) {
+  if (local_ == nullptr) {
+    std::fprintf(stderr,
+                 "CapesSystem: %s lives in capes_daemond under the tcp "
+                 "transport; use training_fingerprint() / "
+                 "total_train_steps() or brain_client()\n",
+                 what);
+    std::abort();
+  }
+  return *local_;
 }
 
-}  // namespace
+DrlEngine& CapesSystem::engine() { return local_brain("engine()").engine(); }
 
-DrlEngine& CapesSystem::engine() {
-  if (engine_ == nullptr) abort_remote_accessor("engine()");
-  return *engine_;
-}
-
-rl::ReplayDb& CapesSystem::replay() {
-  if (replay_ == nullptr) abort_remote_accessor("replay()");
-  return *replay_;
-}
+rl::ReplayDb& CapesSystem::replay() { return local_brain("replay()").replay(); }
 
 InterfaceDaemon& CapesSystem::interface_daemon() {
-  if (daemon_ == nullptr) abort_remote_accessor("interface_daemon()");
-  return *daemon_;
+  return local_brain("interface_daemon()").daemon();
+}
+
+waldb::Database* CapesSystem::database() {
+  return local_ != nullptr ? local_->database() : nullptr;
 }
 
 std::uint32_t CapesSystem::training_fingerprint() const {
-  return client_ != nullptr ? client_->weights_fingerprint()
-                            : engine_->weights_fingerprint();
+  return brain_->weights_fingerprint();
 }
 
 std::size_t CapesSystem::total_train_steps() const {
-  return client_ != nullptr ? client_->total_train_steps()
-                            : engine_->total_train_steps();
+  return brain_->total_train_steps();
 }
 
 std::vector<double> CapesSystem::parameter_values() const {
@@ -481,11 +452,7 @@ void CapesSystem::sample_all_agents(std::int64_t t) {
   // Under a remote brain the drain instead ships each message as a
   // kStatus frame, in the same deterministic order the daemon would
   // have ingested them.
-  if (client_) {
-    client_->flush_status(t);
-  } else {
-    daemon_->drain_status(t, pool_.get());
-  }
+  brain_->drain_status(t, pool_.get());
 }
 
 double RunResult::shard_imbalance() const {
@@ -641,11 +608,7 @@ void CapesSystem::on_sampling_tick(RunResult& result, RunPhase mode) {
   const double reward = reward_sum / num_domains;
   const double latency = latency_sum / num_domains;
   alloc_tally.restart();
-  if (client_) {
-    client_->send_reward(t, reward, throughput_sum, latency);
-  } else {
-    daemon_->on_reward(t, reward);
-  }
+  brain_->on_reward(t, reward, throughput_sum, latency);
   hot_path_allocs_ += alloc_tally.delta();
   if (capture_) {
     const double values[3] = {reward, throughput_sum, latency};
@@ -656,57 +619,27 @@ void CapesSystem::on_sampling_tick(RunResult& result, RunPhase mode) {
   result.rewards.push_back(reward);
 
   // 3. Action tick: the engine suggests one composite action, the daemon
-  //    checks it and broadcasts it to the owning domain's slice.
-  //    4. follows: training steps (the DRL Engine trains continuously,
-  //    §3.4). Under a remote brain both steps run in capes_daemond
-  //    behind one tick barrier: end_tick ships kFrameTickDone, blocks
-  //    for the checked broadcasts + kFrameActionsDone, and applies the
-  //    broadcasts to the domains' Control Agents. Outside the
-  //    allocation bracket, like drain_actions: applying parameters runs
-  //    the target system's setters, which may schedule simulator events.
-  if (client_) {
-    const TickOutcome outcome =
-        client_->end_tick(t, static_cast<std::uint8_t>(mode));
-    if (mode == RunPhase::kTraining && outcome.train_steps > 0) {
-      result.train_steps += outcome.train_steps;
-      total_train_steps_ = outcome.total_train_steps;
-      TrainStepEvent event;
-      event.tick = t;
-      event.steps = outcome.train_steps;
-      event.total_steps = total_train_steps_;
-      for (const auto& listener : train_step_listeners_) listener(event);
-    }
-  } else {
-    alloc_tally.restart();
-    if (mode == RunPhase::kTraining || mode == RunPhase::kTuned) {
-      const std::size_t suggested =
-          engine_->compute_action(t, mode == RunPhase::kTraining, pool_.get());
-      daemon_->route_suggested_action(t, suggested);
-    } else {
-      daemon_->route_suggested_action(t, 0);  // NULL action
-    }
-    hot_path_allocs_ += alloc_tally.delta();
-    // Deliver checked-action broadcasts due by this tick (the one just
-    // routed under sync; under sim possibly earlier delayed ones — a
-    // delayed action reaches the target system on the tick it lands).
-    // Outside the allocation bracket: applying parameters runs the target
-    // system's setters, which may schedule simulator events (excluded from
-    // the audit like the rest of event execution).
-    daemon_->drain_actions(t);
-
-    // 4. Training steps (the DRL Engine trains continuously, §3.4).
-    if (mode == RunPhase::kTraining) {
-      const std::size_t steps = engine_->train_tick(pool_.get());
-      result.train_steps += steps;
-      if (steps > 0) {
-        total_train_steps_ += steps;
-        TrainStepEvent event;
-        event.tick = t;
-        event.steps = steps;
-        event.total_steps = total_train_steps_;
-        for (const auto& listener : train_step_listeners_) listener(event);
-      }
-    }
+  //    checks it and broadcasts it to the owning domain's slice; 4.
+  //    training steps follow (the DRL Engine trains continuously, §3.4).
+  //    Under a remote brain both run in capes_daemond behind one tick
+  //    barrier. The brain brackets act + route for the allocation audit
+  //    itself (hot_path_allocations()).
+  const TickOutcome outcome =
+      brain_->end_tick(t, static_cast<std::uint8_t>(mode), pool_.get());
+  // Deliver checked-action broadcasts due by this tick (the one just
+  // routed under sync and tcp; under sim possibly earlier delayed ones — a
+  // delayed action reaches the target system on the tick it lands).
+  // Outside the allocation bracket: applying parameters runs the target
+  // system's setters, which may schedule simulator events (excluded from
+  // the audit like the rest of event execution).
+  brain_->drain_actions(t);
+  result.train_steps += outcome.train_steps;
+  if (outcome.train_steps > 0) {
+    TrainStepEvent event;
+    event.tick = t;
+    event.steps = outcome.train_steps;
+    event.total_steps = outcome.total_train_steps;
+    for (const auto& listener : train_step_listeners_) listener(event);
   }
 
   if (!tick_listeners_.empty()) {
@@ -737,9 +670,8 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
     const std::uint8_t phase = static_cast<std::uint8_t>(mode);
     capture_->record(capture::RecordType::kPhaseBegin, tick_, 0, 0, &phase, 1);
   }
-  if (client_) client_->begin_phase(tick_, static_cast<std::uint8_t>(mode));
-  const bus::ChannelStats bus_before =
-      client_ ? client_->stats() : daemon_->bus_stats();
+  brain_->begin_phase(tick_, static_cast<std::uint8_t>(mode));
+  const bus::ChannelStats bus_before = brain_->stats();
   const sim::FaultCounters faults_before = fault_counters();
   const auto tick_us = sim::seconds(opts_.sampling_tick_s);
   for (std::int64_t i = 0; i < ticks; ++i) {
@@ -760,18 +692,13 @@ RunResult CapesSystem::run_phase(std::int64_t ticks, RunPhase mode) {
   // (fingerprints, logs, train-step counts) reflect all of the phase's
   // training. Remotely that barrier is the kPhaseEnd round trip, whose
   // ack refreshes the cached fingerprint/step count.
-  if (client_) {
-    client_->end_phase(tick_, static_cast<std::uint8_t>(mode));
-  } else {
-    engine_->drain_learner();
-  }
+  brain_->end_phase(tick_, static_cast<std::uint8_t>(mode));
   result.end_tick = tick_;
   if (capture_) {
     const std::uint8_t phase = static_cast<std::uint8_t>(mode);
     capture_->record(capture::RecordType::kPhaseEnd, tick_, 0, 0, &phase, 1);
   }
-  const bus::ChannelStats bus_after =
-      client_ ? client_->stats() : daemon_->bus_stats();
+  const bus::ChannelStats bus_after = brain_->stats();
   result.messages_dropped = bus_after.dropped - bus_before.dropped;
   result.messages_late = bus_after.late - bus_before.late;
   const sim::FaultCounters faults_after = fault_counters();
@@ -808,21 +735,21 @@ std::uint64_t CapesSystem::monitoring_bytes_sent() const {
 }
 
 bool CapesSystem::save_model(const std::string& path) const {
-  if (engine_ == nullptr) {
+  if (local_ == nullptr) {
     CAPES_LOG_WARN("capes") << "save_model unavailable under the tcp "
                                "transport (the model lives in capes_daemond)";
     return false;
   }
-  return engine_->dqn().save_checkpoint(path);
+  return local_->engine().dqn().save_checkpoint(path);
 }
 
 bool CapesSystem::load_model(const std::string& path) {
-  if (engine_ == nullptr) {
+  if (local_ == nullptr) {
     CAPES_LOG_WARN("capes") << "load_model unavailable under the tcp "
                                "transport (the model lives in capes_daemond)";
     return false;
   }
-  return engine_->dqn().load_checkpoint(path);
+  return local_->engine().dqn().load_checkpoint(path);
 }
 
 }  // namespace capes::core

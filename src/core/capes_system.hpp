@@ -46,7 +46,9 @@ class ThreadPool;
 
 namespace capes::core {
 
+class Brain;
 class BrainClient;
+class BrainLink;
 
 struct CapesOptions {
   /// Table 1: sampling tick length (1 s) and action tick length (1 action
@@ -231,7 +233,7 @@ class CapesSystem {
   /// in a capes_daemond this system holds a connection to.
   bool remote_brain() const { return client_ != nullptr; }
   /// The connection to that daemon (null in-process).
-  BrainClient* brain_client() { return client_.get(); }
+  BrainClient* brain_client() { return client_; }
 
   /// CRC32 of the online-network weights after all in-flight training,
   /// and cumulative minibatch steps — engine-backed in process, cached
@@ -293,7 +295,7 @@ class CapesSystem {
   bool load_model(const std::string& path);
 
   /// The durable replay database, when configured (else nullptr).
-  waldb::Database* database() { return db_.get(); }
+  waldb::Database* database();
 
   /// The flight recorder, when capture_path was set (else nullptr).
   /// Callers may close() it early (idempotent, control thread only) to
@@ -327,6 +329,8 @@ class CapesSystem {
   void replan_shards();
   /// Fold the simulator's last-advance per-shard stats into `result`.
   void accumulate_shard_stats(RunResult& result);
+  /// The in-process brain; aborts naming `what` under a remote one.
+  Brain& local_brain(const char* what);
 
   sim::Simulator& sim_;
   CapesOptions opts_;
@@ -335,18 +339,16 @@ class CapesSystem {
   std::vector<std::unique_ptr<ControlDomain>> domains_;
   std::size_t total_nodes_ = 0;
   std::unique_ptr<rl::ActionSpace> space_;  ///< composite
-  std::unique_ptr<waldb::Database> db_;
-  std::unique_ptr<rl::ReplayDb> replay_;
-  /// Declared before the daemon: the daemon's channels reference it.
+  /// Declared before the brain: its channels reference it.
   std::unique_ptr<bus::Transport> transport_;
-  /// Declared before the daemon: the daemon holds a raw capture pointer.
+  /// Declared before the brain: it holds a raw capture pointer.
   std::unique_ptr<capture::WireLogWriter> capture_;
-  std::unique_ptr<InterfaceDaemon> daemon_;
-  std::unique_ptr<DrlEngine> engine_;
-  /// The distributed control plane's agent-side half (tcp transport
-  /// only; then daemon_/engine_/replay_/db_ stay null). Declared after
-  /// transport_ and capture_ — it references both.
-  std::unique_ptr<BrainClient> client_;
+  /// The Replay DB + Interface Daemon + DRL Engine: a Brain in process,
+  /// a BrainClient under the tcp transport. Exactly one of local_ /
+  /// client_ points into it.
+  std::unique_ptr<BrainLink> brain_;
+  Brain* local_ = nullptr;
+  BrainClient* client_ = nullptr;
   std::unique_ptr<util::ThreadPool> pool_;
 
   /// All domains' Monitoring Agents in fan-in order (domain-major, then
@@ -377,7 +379,6 @@ class CapesSystem {
   std::vector<double> domain_reward_scratch_;
 
   std::int64_t tick_ = 0;
-  std::size_t total_train_steps_ = 0;
   std::vector<std::function<void(const TickEvent&)>> tick_listeners_;
   std::vector<std::function<void(const TrainStepEvent&)>> train_step_listeners_;
 };

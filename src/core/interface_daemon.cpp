@@ -16,8 +16,7 @@ namespace {
 /// Applying a checked action runs the target system's parameter setters,
 /// which may schedule follow-up events (e.g. a cluster re-arming its
 /// send loop); binding the owning domain's simulator shard keeps them in
-/// its queue, not shard 0. Domain-less shards (the legacy single-shard
-/// constructor) have nothing to bind.
+/// its queue, not shard 0. Domain-less shards have nothing to bind.
 sim::Simulator::ShardBinding bind_domain_shard(const ControlDomain* domain) {
   return domain != nullptr ? domain->bind_sim_shard()
                            : sim::Simulator::no_binding();
@@ -25,16 +24,41 @@ sim::Simulator::ShardBinding bind_domain_shard(const ControlDomain* domain) {
 
 }  // namespace
 
+std::size_t shard_of_action(const std::vector<std::size_t>& slice_offsets,
+                            std::size_t action) {
+  std::size_t shard = 0;
+  if (action != 0) {
+    while (shard + 1 < slice_offsets.size() &&
+           action >= slice_offsets[shard + 1]) {
+      ++shard;
+    }
+  }
+  return shard;
+}
+
 InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
                                  const rl::ActionSpace& space,
                                  std::size_t num_nodes,
                                  std::size_t pis_per_node)
+    : InterfaceDaemon(replay, {ShardLayout{1, space.parameters()}}, num_nodes,
+                      pis_per_node) {}
+
+InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
+                                 std::vector<ShardLayout> shards,
+                                 std::size_t num_nodes,
+                                 std::size_t pis_per_node)
     : replay_(replay) {
-  Shard shard;
-  shard.space = &space;
-  shard.checker = std::make_unique<ActionChecker>(space);
-  shard.action_offset = 1;
-  shards_.push_back(std::move(shard));
+  if (shards.empty()) shards.emplace_back();
+  shards_.reserve(shards.size());
+  for (ShardLayout& layout : shards) {
+    Shard shard;
+    shard.owned_space = std::make_unique<rl::ActionSpace>(std::move(layout.params));
+    shard.owned_params = shard.owned_space->initial_values();
+    shard.space = shard.owned_space.get();
+    shard.checker = std::make_unique<ActionChecker>(*shard.space);
+    shards_.push_back(std::move(shard));
+    slice_offsets_.push_back(static_cast<std::size_t>(layout.action_offset));
+  }
   decoders_.reserve(num_nodes);
   for (std::size_t i = 0; i < num_nodes; ++i) {
     decoders_.emplace_back(pis_per_node);
@@ -56,13 +80,13 @@ InterfaceDaemon::InterfaceDaemon(rl::ReplayDb& replay,
     shard.domain = domain;
     shard.space = &domain->space();
     shard.checker = std::make_unique<ActionChecker>(domain->space());
-    shard.action_offset = domain->action_offset();
     if (transport != nullptr) {
       shard.actions = std::make_unique<ActionChannel>(
-          *transport, kActionTopicBase + domain->index(),
+          *transport, kActionTopicBase + shards_.size(),
           kActionChannelCapacity);
     }
     shards_.push_back(std::move(shard));
+    slice_offsets_.push_back(domain->action_offset());
     for (std::size_t i = 0; i < domain->num_nodes(); ++i) {
       decoders_.emplace_back(pis_per_node);
     }
@@ -190,17 +214,16 @@ void InterfaceDaemon::set_payload_recycler(PayloadRecycler recycler) {
 
 std::size_t InterfaceDaemon::drain_actions(std::int64_t t) {
   std::size_t delivered = 0;
-  for (Shard& shard : shards_) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
     if (!shard.actions) continue;
     const auto binding = bind_domain_shard(shard.domain);
     delivered += shard.actions->drain(
-        t, [this, t, &shard](bus::Message<std::vector<double>>& msg) {
+        t, [this, t, s, &shard](bus::Message<std::vector<double>>& msg) {
           if (capture_ != nullptr) {
-            capture_->record_f64s(
-                capture::RecordType::kBroadcast, t,
-                kActionTopicBase +
-                    (shard.domain != nullptr ? shard.domain->index() : 0),
-                msg.sender, msg.payload.data(), msg.payload.size());
+            capture_->record_f64s(capture::RecordType::kBroadcast, t,
+                                  kActionTopicBase + s, msg.sender,
+                                  msg.payload.data(), msg.payload.size());
           }
           for (ControlAgent* agent : shard.control_agents) {
             agent->on_action_message(msg.payload);
@@ -224,8 +247,9 @@ bus::ChannelStats InterfaceDaemon::bus_stats() const {
 }
 
 std::size_t InterfaceDaemon::apply_checked_action(
-    std::int64_t t, Shard& shard, std::size_t local_action,
+    std::int64_t t, std::size_t shard_index, std::size_t local_action,
     std::size_t global_action, std::vector<double>& parameter_values) {
+  Shard& shard = shards_[shard_index];
   const rl::DecodedAction decoded = shard.space->decode(local_action);
   std::size_t recorded = global_action;
   if (!shard.checker->check(decoded, parameter_values)) {
@@ -245,8 +269,9 @@ std::size_t InterfaceDaemon::apply_checked_action(
         shard.action_pool.pop_back();
       }
       payload.assign(parameter_values.begin(), parameter_values.end());
-      shard.actions->publish(shard.domain ? shard.domain->index() : 0, t,
-                             std::move(payload));
+      shard.actions->publish(shard_index, t, std::move(payload));
+    } else if (broadcast_sink_) {
+      broadcast_sink_(t, shard_index, parameter_values);
     } else {
       const auto binding = bind_domain_shard(shard.domain);
       for (ControlAgent* agent : shard.control_agents) {
@@ -264,11 +289,9 @@ std::size_t InterfaceDaemon::apply_checked_action(
       payload[i] = static_cast<std::uint8_t>(global_action >> (8 * i));
       payload[4 + i] = static_cast<std::uint8_t>(recorded >> (8 * i));
     }
-    capture_->record(
-        capture::RecordType::kAction, t,
-        kActionTopicBase + (shard.domain != nullptr ? shard.domain->index() : 0),
-        static_cast<std::uint64_t>(&shard - shards_.data()), payload,
-        sizeof(payload));
+    capture_->record(capture::RecordType::kAction, t,
+                     kActionTopicBase + shard_index, shard_index, payload,
+                     sizeof(payload));
   }
   return recorded;
 }
@@ -277,37 +300,36 @@ std::size_t InterfaceDaemon::on_suggested_action(
     std::int64_t t, std::size_t action_index,
     std::vector<double>& parameter_values) {
   assert(shards_.size() == 1);
-  return apply_checked_action(t, shards_[0], action_index, action_index,
+  return apply_checked_action(t, 0, action_index, action_index,
                               parameter_values);
 }
 
 std::size_t InterfaceDaemon::route_suggested_action(std::int64_t t,
                                                     std::size_t action_index) {
-  // The NULL action belongs to no slice; hand it to shard 0 so checker
-  // rules still see it (a rule can veto NULL too, as in the single-shard
-  // path — the recorded action is 0 either way).
-  std::size_t shard_index = 0;
-  std::size_t local = 0;
-  if (action_index != 0) {
-    while (shard_index + 1 < shards_.size() &&
-           action_index >= shards_[shard_index + 1].action_offset) {
-      ++shard_index;
-    }
-    local = action_index - shards_[shard_index].action_offset + 1;
-    assert(local < shards_[shard_index].space->num_actions());
+  // The NULL action belongs to no slice; shard 0 takes it so checker rules
+  // still see it (a rule can veto NULL too, as in the single-shard path —
+  // the recorded action is 0 either way).
+  const std::size_t s = shard_of_action(slice_offsets_, action_index);
+  const std::size_t local =
+      action_index == 0 ? 0 : action_index - slice_offsets_[s] + 1;
+  Shard& shard = shards_[s];
+  assert(local < shard.space->num_actions());
+  return apply_checked_action(
+      t, s, local, action_index,
+      shard.domain != nullptr ? shard.domain->param_values()
+                              : shard.owned_params);
+}
+
+std::uint64_t InterfaceDaemon::actions_vetoed() const {
+  std::uint64_t vetoed = 0;
+  for (const Shard& shard : shards_) vetoed += shard.checker->vetoed_actions();
+  return vetoed;
+}
+
+void InterfaceDaemon::reset_parameters() {
+  for (Shard& shard : shards_) {
+    if (shard.owned_space) shard.owned_params = shard.owned_space->initial_values();
   }
-  Shard& shard = shards_[shard_index];
-  // Routed dispatch needs a domain-backed parameter vector; a daemon
-  // built through the legacy single-shard constructor must use
-  // on_suggested_action instead. Degrade to a recorded NULL action
-  // rather than dereferencing null in Release builds.
-  assert(shard.domain != nullptr);
-  if (shard.domain == nullptr) {
-    replay_.record_action(t, 0);
-    return 0;
-  }
-  return apply_checked_action(t, shard, local, action_index,
-                              shard.domain->param_values());
 }
 
 void InterfaceDaemon::register_control_agent(ControlAgent* agent) {

@@ -21,6 +21,12 @@
 // they arrive, dropped ones never do — the Replay DB's missing-entry
 // tolerance absorbs the gaps. Without a transport the daemon keeps the
 // original direct-call behavior (agent-level tests, hop-free wiring).
+//
+// Domain-less mode: built from ShardLayouts instead of ControlDomains,
+// each shard owns its action space and parameter vector, and checked
+// broadcasts go to a BroadcastSink. That is how the remote brain service
+// (capes_daemond) runs this same route/check/apply/record code with the
+// target systems on the far side of a tcp link.
 
 #include <cstdint>
 #include <functional>
@@ -64,12 +70,36 @@ inline constexpr std::uint64_t kActionTopicBase = 2;
 /// guards against a pathological transport configuration.
 inline constexpr std::size_t kActionChannelCapacity = 1024;
 
+/// A daemon shard with no ControlDomain behind it: where its slice of the
+/// composite action namespace starts, and the tunable parameters whose
+/// vector the shard owns (starting at their initial values). The
+/// distributed Hello carries one per domain.
+struct ShardLayout {
+  std::uint64_t action_offset = 1;
+  std::vector<rl::TunableParameter> params;
+};
+
+/// The composite-action -> shard routing rule, shared by the daemon and
+/// the agent-side capture of a remote brain's actions: the shard whose
+/// action slice holds `action`, given each shard's slice start in shard
+/// order. The NULL action (0) belongs to no slice and goes to shard 0.
+std::size_t shard_of_action(const std::vector<std::size_t>& slice_offsets,
+                            std::size_t action);
+
 class InterfaceDaemon {
  public:
-  /// Single-shard daemon over an externally managed parameter vector (the
-  /// pre-domain construction, still used by agent-level tests). Always
-  /// direct-call: no control network between the agents and the daemon.
+  /// Single-shard daemon over a copy of `space` (the pre-domain
+  /// construction, still used by agent-level tests): on_suggested_action
+  /// applies to the caller's parameter vector. Always direct-call: no
+  /// control network between the agents and the daemon.
   InterfaceDaemon(rl::ReplayDb& replay, const rl::ActionSpace& space,
+                  std::size_t num_nodes, std::size_t pis_per_node);
+
+  /// Domain-less daemon: one shard per layout (an empty list gives one
+  /// NULL-only shard, enough for status ingest), each owning its action
+  /// space and parameter vector, over `num_nodes` global nodes. Checked
+  /// broadcasts reach the broadcast sink.
+  InterfaceDaemon(rl::ReplayDb& replay, std::vector<ShardLayout> shards,
                   std::size_t num_nodes, std::size_t pis_per_node);
 
   /// Sharded daemon: one shard per domain, in order. Domains must outlive
@@ -99,13 +129,29 @@ class InterfaceDaemon {
                                   std::vector<double>& parameter_values);
 
   /// Sharded form: route the composite `action_index` to its owning
-  /// domain and apply it to that domain's parameter vector. Same veto /
-  /// record semantics as on_suggested_action. In control-network mode the
-  /// domain-side parameter vector updates immediately (the daemon's view)
-  /// but the broadcast to the Control Agents rides the shard's action
-  /// channel — a delayed action reaches the target system on a later
-  /// tick, exactly as in a real deployment.
+  /// shard and apply it to that shard's parameter vector (its domain's,
+  /// or its own when domain-less). Same veto / record semantics as
+  /// on_suggested_action. In control-network mode the domain-side
+  /// parameter vector updates immediately (the daemon's view) but the
+  /// broadcast to the Control Agents rides the shard's action channel — a
+  /// delayed action reaches the target system on a later tick, exactly as
+  /// in a real deployment. Precondition: `action_index` is inside the
+  /// composite space.
   std::size_t route_suggested_action(std::int64_t t, std::size_t action_index);
+
+  /// Reset every shard-owned parameter vector to its initial values
+  /// (domain-backed shards follow ControlDomain::reset_parameters).
+  void reset_parameters();
+
+  /// Where checked broadcasts of shards without an action channel go,
+  /// instead of straight to registered Control Agents: (tick, shard,
+  /// post-action parameter values). The brain service encodes them as
+  /// kBroadcast frames.
+  using BroadcastSink = std::function<void(
+      std::int64_t t, std::size_t shard, const std::vector<double>& values)>;
+  void set_broadcast_sink(BroadcastSink sink) {
+    broadcast_sink_ = std::move(sink);
+  }
 
   // ---- control network -----------------------------------------------------
   /// The PI inbox Monitoring Agents publish into (null without a
@@ -151,6 +197,8 @@ class InterfaceDaemon {
   std::uint64_t status_messages() const { return status_messages_; }
   std::uint64_t decode_errors() const { return decode_errors_; }
   std::uint64_t actions_broadcast() const { return actions_broadcast_; }
+  /// Checker vetoes summed over every shard.
+  std::uint64_t actions_vetoed() const;
 
   /// Flight recorder (nullable; must outlive the daemon while set). All
   /// three daemon-boundary hops — PI status, suggested/recorded actions,
@@ -164,10 +212,11 @@ class InterfaceDaemon {
   /// routing needs no per-shard state: decoders_ is indexed by the global
   /// node id directly).
   struct Shard {
-    ControlDomain* domain = nullptr;  ///< null for the single-shard ctor
+    ControlDomain* domain = nullptr;  ///< null: the shard owns the below
+    std::unique_ptr<rl::ActionSpace> owned_space;
+    std::vector<double> owned_params;
     const rl::ActionSpace* space = nullptr;
     std::unique_ptr<ActionChecker> checker;
-    std::size_t action_offset = 1;  ///< global index of local action 1
     std::vector<ControlAgent*> control_agents;
     /// Control-network broadcast channel (null = direct calls).
     std::unique_ptr<ActionChannel> actions;
@@ -182,13 +231,15 @@ class InterfaceDaemon {
   /// checker or agent list would silently corrupt cross-domain state.
   std::size_t check_shard(std::size_t shard) const;
 
-  std::size_t apply_checked_action(std::int64_t t, Shard& shard,
+  std::size_t apply_checked_action(std::int64_t t, std::size_t shard_index,
                                    std::size_t local_action,
                                    std::size_t global_action,
                                    std::vector<double>& parameter_values);
 
   rl::ReplayDb& replay_;
   std::vector<Shard> shards_;
+  std::vector<std::size_t> slice_offsets_;  ///< global index of local action 1
+  BroadcastSink broadcast_sink_;
   std::vector<PiDecoder> decoders_;  // one per global node
   std::unique_ptr<PiChannel> inbox_;
   PayloadRecycler payload_recycler_;

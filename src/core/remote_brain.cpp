@@ -18,7 +18,7 @@ std::vector<std::uint8_t> encode_hello(const HelloPayload& hello) {
   w.put_u32(static_cast<std::uint32_t>(meta.size()));
   w.put_raw(meta.data(), meta.size());
   w.put_u32(static_cast<std::uint32_t>(hello.domains.size()));
-  for (const RemoteDomain& d : hello.domains) {
+  for (const ShardLayout& d : hello.domains) {
     w.put_u64(d.action_offset);
     w.put_u32(static_cast<std::uint32_t>(d.params.size()));
     for (const rl::TunableParameter& p : d.params) {
@@ -44,14 +44,22 @@ std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob) 
   if (!meta) return std::nullopt;
   HelloPayload hello;
   hello.meta = *meta;
+  // Element counts are wire data: each is checked against the bytes left
+  // (a domain takes at least 12, a parameter at least 36) before anything
+  // is sized from it, so a forged count fails the decode instead of
+  // attempting a huge allocation.
   const auto num_domains = r.get_u32();
-  if (!num_domains || *num_domains == 0) return std::nullopt;
+  if (!num_domains || *num_domains == 0 || *num_domains > r.remaining() / 12) {
+    return std::nullopt;
+  }
   hello.domains.reserve(*num_domains);
   for (std::uint32_t d = 0; d < *num_domains; ++d) {
-    RemoteDomain domain;
+    ShardLayout domain;
     const auto offset = r.get_u64();
     const auto num_params = r.get_u32();
-    if (!offset || !num_params) return std::nullopt;
+    if (!offset || !num_params || *num_params > r.remaining() / 36) {
+      return std::nullopt;
+    }
     domain.action_offset = *offset;
     domain.params.reserve(*num_params);
     for (std::uint32_t p = 0; p < *num_params; ++p) {
@@ -86,12 +94,19 @@ BrainClient::BrainClient(bus::Transport& transport, bus::TransportOptions opts,
       // replay DB's missing-entry tolerance absorb the loss.
       inbox_(transport, kStatusTopic) {}
 
-BrainClient::~BrainClient() { bye(0); }
+BrainClient::~BrainClient() {
+  if (endpoint_ == nullptr) return;
+  send_frame(kFrameBye, last_tick_, 0, 0, nullptr, 0);
+  endpoint_->close();  // lingers briefly so the Bye flushes
+}
 
 bool BrainClient::connect(const capture::TraceMeta& meta,
                           std::vector<ControlDomain*> domains,
                           std::string* error) {
   domains_ = std::move(domains);
+  for (const ControlDomain* domain : domains_) {
+    slice_offsets_.push_back(domain->action_offset());
+  }
   std::string sock_error;
   const int fd =
       net::tcp_connect(opts_.tcp_host, static_cast<std::uint16_t>(opts_.tcp_port),
@@ -109,10 +124,8 @@ bool BrainClient::connect(const capture::TraceMeta& meta,
   hello.meta = meta;
   hello.domains.reserve(domains_.size());
   for (const ControlDomain* domain : domains_) {
-    RemoteDomain rd;
-    rd.action_offset = domain->action_offset();
-    rd.params = domain->space().parameters();
-    hello.domains.push_back(std::move(rd));
+    hello.domains.push_back(
+        ShardLayout{domain->action_offset(), domain->space().parameters()});
   }
   const std::vector<std::uint8_t> blob = encode_hello(hello);
   if (!endpoint_->send(kFrameHello, 0, 0, 0, blob.data(), blob.size())) {
@@ -155,6 +168,7 @@ bool BrainClient::send_frame(std::uint8_t type, std::int64_t tick,
                              std::uint64_t topic, std::uint64_t sender,
                              const std::uint8_t* payload,
                              std::size_t payload_size) {
+  last_tick_ = tick;
   if (endpoint_ == nullptr) {
     ++dead_drops_;
     return false;
@@ -178,8 +192,8 @@ std::size_t BrainClient::flush_status(std::int64_t t) {
   });
 }
 
-void BrainClient::send_reward(std::int64_t t, double reward,
-                              double throughput_sum, double latency_mean) {
+void BrainClient::on_reward(std::int64_t t, double reward,
+                            double throughput_sum, double latency_mean) {
   std::uint8_t payload[24];
   util::put_le_f64(payload, reward);
   util::put_le_f64(payload + 8, throughput_sum);
@@ -204,7 +218,8 @@ void BrainClient::stash_broadcast(const net::Frame& frame) {
   }
 }
 
-void BrainClient::apply_broadcasts(std::int64_t t) {
+std::size_t BrainClient::drain_actions(std::int64_t t) {
+  const std::size_t applied = stash_count_;
   for (std::size_t i = 0; i < stash_count_; ++i) {
     PendingBroadcast& pending = stash_[i];
     ControlDomain* domain = domains_[pending.domain];
@@ -225,15 +240,14 @@ void BrainClient::apply_broadcasts(std::int64_t t) {
     }
   }
   stash_count_ = 0;
+  return applied;
 }
 
-TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
+TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode,
+                                  util::ThreadPool*) {
   TickOutcome out;
   send_frame(kFrameTickDone, t, 0, 0, &mode, 1);
-  if (endpoint_ == nullptr) {
-    out.link_alive = false;
-    return out;
-  }
+  if (endpoint_ == nullptr) return out;
   stash_count_ = 0;
   for (;;) {
     net::InSlot* slot = endpoint_->recv();
@@ -241,7 +255,6 @@ TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
       // The daemon vanished mid-tick: finish the tick with no action and
       // surface the loss through stats().dropped — never hang the loop.
       stash_count_ = 0;
-      out.link_alive = false;
       ++dead_drops_;
       return out;
     }
@@ -264,23 +277,15 @@ TickOutcome BrainClient::end_tick(std::int64_t t, std::uint8_t mode) {
   }
   total_train_steps_ = out.total_train_steps;
   if (capture_ != nullptr) {
-    // Mirror apply_checked_action's record: the suggestion routes to the
-    // shard whose action slice contains it (NULL belongs to shard 0).
-    std::size_t shard = 0;
-    if (out.suggested != 0) {
-      while (shard + 1 < domains_.size() &&
-             out.suggested >= domains_[shard + 1]->action_offset()) {
-        ++shard;
-      }
-    }
+    // Mirror the daemon's kAction record, under the shard its routing
+    // gave the suggestion.
+    const std::size_t shard = shard_of_action(slice_offsets_, out.suggested);
     std::uint8_t payload[8];
     util::put_le32(payload, static_cast<std::uint32_t>(out.suggested));
     util::put_le32(payload + 4, static_cast<std::uint32_t>(out.recorded));
-    capture_->record(capture::RecordType::kAction, t,
-                     kActionTopicBase + domains_[shard]->index(), shard,
-                     payload, sizeof(payload));
+    capture_->record(capture::RecordType::kAction, t, kActionTopicBase + shard,
+                     shard, payload, sizeof(payload));
   }
-  apply_broadcasts(t);
   return out;
 }
 
@@ -288,19 +293,19 @@ void BrainClient::begin_phase(std::int64_t t, std::uint8_t phase) {
   send_frame(frame_type(capture::RecordType::kPhaseBegin), t, 0, 0, &phase, 1);
 }
 
-bool BrainClient::end_phase(std::int64_t t, std::uint8_t phase) {
+void BrainClient::end_phase(std::int64_t t, std::uint8_t phase) {
   send_frame(frame_type(capture::RecordType::kPhaseEnd), t, 0, 0, &phase, 1);
-  if (endpoint_ == nullptr) return false;
+  if (endpoint_ == nullptr) return;
   for (;;) {
     net::InSlot* slot = endpoint_->recv();
-    if (slot == nullptr) return false;
+    if (slot == nullptr) return;
     const net::Frame& f = slot->frame;
     if (f.type == kFramePhaseEndAck && f.payload.size() >= 12) {
       fingerprint_ = util::get_le32(f.payload.data());
       total_train_steps_ =
           static_cast<std::size_t>(util::get_le64(f.payload.data() + 4));
       endpoint_->recycle(slot);
-      return true;
+      return;
     }
     endpoint_->recycle(slot);
   }
@@ -313,12 +318,6 @@ void BrainClient::reset_params(std::int64_t t) {
 void BrainClient::workload_change(std::int64_t t) {
   send_frame(frame_type(capture::RecordType::kWorkloadChange), t, 0, 0,
              nullptr, 0);
-}
-
-void BrainClient::bye(std::int64_t t) {
-  if (endpoint_ == nullptr) return;
-  send_frame(kFrameBye, t, 0, 0, nullptr, 0);
-  endpoint_->close();  // lingers briefly so the Bye flushes
 }
 
 bus::ChannelStats BrainClient::stats() const {

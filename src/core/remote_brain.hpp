@@ -4,10 +4,10 @@
 // CAPES §3.3 deploys the Monitoring Agents and Control Agents on the
 // storage cluster and the Interface Daemon + DRL Engine on a dedicated
 // learner box. This header defines the protocol both processes speak
-// over a net::Endpoint, and BrainClient — the piece that lets a
+// over a net::Endpoint, and BrainClient — the BrainLink that lets a
 // CapesSystem whose transport is `tcp:` run its cluster locally while
-// the brain (Replay DB, DRL Engine, action checking) lives in a remote
-// capes_daemond.
+// the brain (a core::Brain: Replay DB, DRL Engine, action checking)
+// lives in a remote capes_daemond.
 //
 // Frame types reuse the capture::RecordType values 1..7 for every
 // message that mirrors a flight-recorder record (PI status, reward,
@@ -18,17 +18,15 @@
 // tick barriers, acks) live above that range.
 //
 // Per-tick lock step: the client ships this tick's status + reward
-// frames, then kFrameTickDone; the service ingests them in FIFO order,
-// computes/checks/records the action exactly as the in-process
-// InterfaceDaemon would, streams the resulting kBroadcast frames, and
-// closes the tick with kFrameActionsDone. Because the service consumes
-// frames in send order and both sides apply the same deterministic
-// logic, a loopback run with zero loss is bit-identical to the `sync`
-// transport — the equivalence bar tests/integration/test_distributed
-// holds it to.
+// frames, then kFrameTickDone; the service feeds them in FIFO order to
+// the same Brain an in-process CapesSystem drives, streams the checked
+// kBroadcast frames its daemon emits, and closes the tick with
+// kFrameActionsDone. Because the service consumes frames in send order
+// and one piece of code makes every decision, a loopback run with zero
+// loss is bit-identical to the `sync` transport — the equivalence bar
+// tests/integration/test_distributed holds it to.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,10 +35,10 @@
 #include "bus/transport.hpp"
 #include "capture/trace_meta.hpp"
 #include "capture/wire_format.hpp"
+#include "core/brain.hpp"
 #include "core/control_domain.hpp"
-#include "core/monitoring_agent.hpp"
+#include "core/interface_daemon.hpp"
 #include "net/endpoint.hpp"
-#include "rl/action_space.hpp"
 
 namespace capes::capture {
 class WireLogWriter;
@@ -67,76 +65,46 @@ constexpr std::uint8_t frame_type(capture::RecordType t) {
   return static_cast<std::uint8_t>(t);
 }
 
-/// Wire values of the phase byte in kFrameTickDone / kPhaseBegin /
-/// kPhaseEnd payloads — the RunPhase enumerators, pinned here so the
-/// protocol does not silently shift if that enum is ever reordered
-/// (capture files already bake these values into phase records).
-inline constexpr std::uint8_t kPhaseIdle = 0;
-inline constexpr std::uint8_t kPhaseTraining = 1;
-inline constexpr std::uint8_t kPhaseBaseline = 2;
-inline constexpr std::uint8_t kPhaseTuned = 3;
-
-/// One control domain as described in the Hello: where its action slice
-/// starts in the composite action namespace, and its tunable parameters
-/// (enough for the service to rebuild the domain's ActionSpace + Action
-/// Checker and mirror its parameter vector).
-struct RemoteDomain {
-  std::uint64_t action_offset = 1;
-  std::vector<rl::TunableParameter> params;
-};
-
 /// The kFrameHello payload: the same TraceMeta snapshot a capture file
 /// leads with (topology + every engine/DQN/replay hyperparameter and
-/// seed), plus the per-domain action-space layout. The service rebuilds
-/// its Replay DB and DRL Engine from this exactly as capes_replay does
-/// from a capture — which is what makes the two bit-identical.
+/// seed), plus one ShardLayout per domain (where its action slice starts,
+/// and its tunable parameters). The service builds its Brain from this
+/// through the constructor capes_replay uses on a capture — which is what
+/// makes the two bit-identical.
 struct HelloPayload {
   capture::TraceMeta meta;
-  std::vector<RemoteDomain> domains;
+  std::vector<ShardLayout> domains;
 };
 
 std::vector<std::uint8_t> encode_hello(const HelloPayload& hello);
-/// nullopt on a version mismatch or a truncated/garbled payload.
+/// nullopt on a version mismatch or a truncated/garbled payload, including
+/// element counts the remaining bytes cannot hold.
 std::optional<HelloPayload> decode_hello(const std::vector<std::uint8_t>& blob);
 
-/// What kFrameActionsDone reports back for one tick.
-struct TickOutcome {
-  std::size_t suggested = 0;      ///< the engine's composite action index
-  std::size_t recorded = 0;       ///< post-veto (0 = NULL action)
-  std::size_t train_steps = 0;    ///< minibatch steps this tick
-  std::size_t total_train_steps = 0;
-  /// False when the service vanished before answering: the tick completes
-  /// with no action applied and the loss shows up in stats().dropped.
-  bool link_alive = true;
-};
-
 /// The agent-side half of the distributed control plane. Owns the tcp
-/// connection to capes_daemond and stands in for the in-process
-/// InterfaceDaemon + DrlEngine on the CapesSystem tick path:
+/// connection to capes_daemond and is the BrainLink of a CapesSystem
+/// whose brain is remote:
 ///
-///   sample_all_agents -> inbox() -> flush_status(t)     (kStatus frames)
-///   on_reward         -> send_reward(t, ...)            (kReward frame)
-///   action + train    -> end_tick(t, mode)              (kFrameTickDone,
-///                        blocks for kBroadcast* + kFrameActionsDone)
+///   drain_status  -> flush_status(t)          (kStatus frames)
+///   on_reward     -> kReward frame
+///   end_tick      -> kFrameTickDone, blocks for kBroadcast* +
+///                    kFrameActionsDone (broadcasts are stashed)
+///   drain_actions -> applies the stashed broadcasts
 ///
 /// The send path rides the endpoint's recycled slots, so the warm tick
 /// path stays allocation-free and never blocks on a slow daemon — a full
 /// outbound ring sheds frames into stats().dropped, the same surface a
 /// lossy SimTransport reports on. A dead peer never hangs the loop:
 /// every blocking wait exits when the endpoint marks the link dead.
-class BrainClient {
+class BrainClient final : public BrainLink {
  public:
-  using PayloadRecycler =
-      std::function<void(std::uint64_t sender, std::vector<std::uint8_t>&& payload)>;
-
   /// `transport` (a TcpTransport; must outlive the client) backs the
   /// local inbox channel; `opts` supplies host/port/connect_timeout_ms.
   BrainClient(bus::Transport& transport, bus::TransportOptions opts,
               net::EndpointOptions endpoint_opts = {});
-  ~BrainClient();
-
-  BrainClient(const BrainClient&) = delete;
-  BrainClient& operator=(const BrainClient&) = delete;
+  /// Polite shutdown: kFrameBye (at the tick of the last frame sent),
+  /// then close the endpoint, so the service reports a clean session.
+  ~BrainClient() override;
 
   /// Dial the daemon (with the socket layer's capped-backoff retry until
   /// connect_timeout_ms), send kFrameHello, and block for kFrameHelloAck.
@@ -146,65 +114,52 @@ class BrainClient {
   bool connect(const capture::TraceMeta& meta,
                std::vector<ControlDomain*> domains, std::string* error);
 
-  /// The PI inbox Monitoring Agents publish into (same role as
-  /// InterfaceDaemon::inbox()). Valid for the client's lifetime.
-  PiChannel& inbox() { return inbox_; }
-
-  /// Flight recorder for the agent-side mirror of every daemon-boundary
-  /// record (nullable; must outlive the client while set).
-  void set_capture(capture::WireLogWriter* writer) { capture_ = writer; }
-
-  /// Same contract as InterfaceDaemon::set_payload_recycler: drained PI
-  /// payload buffers flow back to the agent that encoded them.
-  void set_payload_recycler(PayloadRecycler recycler);
-
   /// Ship every PI message due by tick `t` as kStatus frames, in the
   /// channel's deterministic (deliver tick, sender, send tick) order —
   /// the order the in-process daemon would have ingested them. Returns
   /// messages shipped.
   std::size_t flush_status(std::int64_t t);
 
-  /// Ship this tick's objective output (kReward; the extra fields mirror
-  /// the capture record so agent-side captures replay identically).
-  void send_reward(std::int64_t t, double reward, double throughput_sum,
-                   double latency_mean);
-
-  /// Close tick `t`: send kFrameTickDone and block until the service's
-  /// kFrameActionsDone, applying any kBroadcast frames (parameter vector
-  /// + Control Agents of the owning domain) in arrival order on the way.
-  TickOutcome end_tick(std::int64_t t, std::uint8_t mode);
-
-  /// Phase markers (kPhaseBegin / kPhaseEnd). end_phase blocks for
-  /// kFramePhaseEndAck — the remote analogue of drain_learner() — and
-  /// refreshes weights_fingerprint() / total_train_steps(); false when
-  /// the link died first.
-  void begin_phase(std::int64_t t, std::uint8_t phase);
-  bool end_phase(std::int64_t t, std::uint8_t phase);
-
-  /// Reset every service-side parameter mirror to its initial values
-  /// (run_baseline's reset, kFrameParamsReset).
-  void reset_params(std::int64_t t);
-
-  /// §3.6 workload-change hint (kWorkloadChange -> engine epsilon bump).
-  void workload_change(std::int64_t t);
-
-  /// Polite shutdown: kFrameBye, then close the endpoint. The service
-  /// reports a clean session. Idempotent; the destructor calls it.
-  void bye(std::int64_t t);
-
   bool alive() const { return endpoint_ != nullptr && endpoint_->alive(); }
 
+  // ---- BrainLink ---------------------------------------------------------
+  /// The local end of the PI hop; valid for the client's lifetime.
+  PiChannel& inbox() override { return inbox_; }
+  void set_payload_recycler(PayloadRecycler recycler) override;
+  /// Records the agent-side mirror of every daemon-boundary record (must
+  /// outlive the client while set).
+  void set_capture(capture::WireLogWriter* writer) override {
+    capture_ = writer;
+  }
+  std::size_t drain_status(std::int64_t t, util::ThreadPool*) override {
+    return flush_status(t);
+  }
+  /// The kReward payload carries all three figures, like the capture
+  /// record, so agent-side captures replay identically.
+  void on_reward(std::int64_t t, double reward, double throughput_sum,
+                 double latency_mean) override;
+  TickOutcome end_tick(std::int64_t t, std::uint8_t mode,
+                       util::ThreadPool* pool) override;
+  std::size_t drain_actions(std::int64_t t) override;
+  /// kPhaseBegin / kPhaseEnd. end_phase blocks for kFramePhaseEndAck — the
+  /// remote drain_learner() — and refreshes weights_fingerprint() /
+  /// total_train_steps(); a dead link leaves them as they were.
+  void begin_phase(std::int64_t t, std::uint8_t phase) override;
+  void end_phase(std::int64_t t, std::uint8_t phase) override;
+  /// kFrameParamsReset: the service resets its shards' parameter vectors.
+  void reset_params(std::int64_t t) override;
+  /// kWorkloadChange -> the remote engine's epsilon bump.
+  void workload_change(std::int64_t t) override;
   /// Last fingerprint/step count the service reported (HelloAck, then
-  /// each PhaseEndAck) — the remote stand-ins for
-  /// DrlEngine::weights_fingerprint() / total_train_steps().
-  std::uint32_t weights_fingerprint() const { return fingerprint_; }
-  std::size_t total_train_steps() const { return total_train_steps_; }
-
-  /// Control-network accounting, shaped like InterfaceDaemon::bus_stats():
-  /// the inbox channel's counters with the endpoint's shed/undeliverable
+  /// each PhaseEndAck).
+  std::uint32_t weights_fingerprint() const override { return fingerprint_; }
+  std::size_t total_train_steps() const override { return total_train_steps_; }
+  /// The inbox channel's counters with the endpoint's shed/undeliverable
   /// frames folded into `dropped` — so PhaseReport::messages_dropped
   /// surfaces tcp loss exactly as it does sim-transport loss.
-  bus::ChannelStats stats() const;
+  bus::ChannelStats stats() const override;
+  /// The audited act/route/train path runs in the remote brain.
+  std::uint64_t hot_path_allocations() const override { return 0; }
 
   /// The wire endpoint (null before connect); byte counters feed
   /// bench/ext_net.
@@ -214,14 +169,15 @@ class BrainClient {
   bool send_frame(std::uint8_t type, std::int64_t tick, std::uint64_t topic,
                   std::uint64_t sender, const std::uint8_t* payload,
                   std::size_t payload_size);
-  /// Stash one received kBroadcast for end-of-tick application.
+  /// Stash one received kBroadcast for drain_actions.
   void stash_broadcast(const net::Frame& frame);
-  void apply_broadcasts(std::int64_t t);
 
   bus::TransportOptions opts_;
   net::EndpointOptions endpoint_opts_;
   PiChannel inbox_;
   std::vector<ControlDomain*> domains_;
+  std::vector<std::size_t> slice_offsets_;  ///< per domain, for shard_of_action
+  std::int64_t last_tick_ = 0;              ///< tick of the last frame sent
   capture::WireLogWriter* capture_ = nullptr;
   PayloadRecycler payload_recycler_;
   std::unique_ptr<net::Endpoint> endpoint_;

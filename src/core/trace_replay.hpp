@@ -1,13 +1,15 @@
 #pragma once
 // Train-from-trace: feed a flight-recorder capture back into a fresh
-// InterfaceDaemon + DrlEngine, reproducing the live run's Replay DB
-// writes and training schedule without a simulator or target system. The
-// replayed PI bytes hit fresh stateful decoders in delivery order, the
-// traced rewards and recorded actions land in the Replay DB exactly as
-// they did live, and training-phase action records drive real
-// compute_action / train_tick calls — so a seeded capture replayed at
-// `max` speed ends with a training fingerprint bit-identical to the
-// original run (the round-trip guarantee pinned by
+// core::Brain, built from the capture's TraceMeta through the constructor
+// the remote brain service uses on a Hello, reproducing the live run's
+// Replay DB writes and training schedule without a simulator or target
+// system. The replayed PI bytes hit the brain's fresh stateful decoders
+// in delivery order and the traced rewards land in its Replay DB as they
+// did live. The action step is the replayer's own: it records the
+// *traced* recorded action, while training-phase action records still
+// drive real compute_action / train_tick calls — so a seeded capture
+// replayed at `max` speed ends with a training fingerprint bit-identical
+// to the original run (the round-trip guarantee pinned by
 // tests/integration/test_capture.cpp).
 
 #include <cstdint>
@@ -17,10 +19,8 @@
 
 #include "capture/trace_meta.hpp"
 #include "capture/wire_log_reader.hpp"
+#include "core/brain.hpp"
 #include "core/capes_system.hpp"
-#include "core/interface_daemon.hpp"
-#include "rl/action_space.hpp"
-#include "rl/replay_db.hpp"
 
 namespace capes::core {
 
@@ -32,13 +32,6 @@ enum class ReplaySpeed {
 
 /// Parse "realtime" | "fast" | "max"; false leaves `out` untouched.
 bool parse_replay_speed(const std::string& text, ReplaySpeed* out);
-
-/// Rebuild a live run's engine configuration from capture meta: always
-/// the sync learner, checkpointing off. Shared by the trace replayer and
-/// the remote brain service (capes_daemond), which must both reconstruct
-/// the exact engine a capture/Hello describes. Seeds are NOT set here —
-/// callers assign engine_seed/dqn_seed from the meta explicitly.
-DrlEngineOptions engine_options_from_meta(const capture::TraceMeta& m);
 
 struct TraceReplayOptions {
   ReplaySpeed speed = ReplaySpeed::kMax;
@@ -97,9 +90,9 @@ class TraceReplayer {
   TraceReplayer();
   ~TraceReplayer();
 
-  /// Load + validate the capture and construct the fresh replay pipeline
-  /// (Replay DB, daemon decoders, DRL engine). False + `*error` on a
-  /// missing/corrupt file, undecodable meta, or zero valid records.
+  /// Load + validate the capture and construct the fresh Brain (Replay DB,
+  /// daemon decoders, DRL engine). False + `*error` on a missing/corrupt
+  /// file, undecodable meta, or zero valid records.
   bool open(const std::string& path, TraceReplayOptions opts,
             std::string* error);
 
@@ -118,13 +111,7 @@ class TraceReplayer {
   capture::WireLogReader reader_;
   capture::TraceMeta meta_;
   bool fresh_weights_match_ = true;
-
-  // Destruction order mirrors CapesSystem: the daemon references the
-  // replay DB and the action space; the engine references the replay DB.
-  std::unique_ptr<rl::ReplayDb> replay_;
-  std::unique_ptr<rl::ActionSpace> space_;  ///< empty dummy (ingest only)
-  std::unique_ptr<InterfaceDaemon> daemon_;
-  std::unique_ptr<DrlEngine> engine_;
+  std::unique_ptr<Brain> brain_;  ///< ingest-only daemon: no action slices
 };
 
 }  // namespace capes::core

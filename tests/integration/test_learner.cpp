@@ -6,7 +6,8 @@
 //   * learner checkpoints written mid-phase rebuild a tuner that
 //     resumes training with the exact interrupted state;
 //   * the steady-state tick path performs zero heap allocations in
-//     the audited configuration.
+//     the audited configuration, with the brain in process or behind a
+//     loopback tcp link.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "lustre/cluster.hpp"
 #include "util/alloc_hook.hpp"
 #include "workload/random_rw.hpp"
+#include "service_thread.hpp"
 
 namespace capes {
 namespace {
@@ -163,15 +165,19 @@ TEST(LearnerIntegration, CheckpointRebuildsTunerMidTraining) {
 
 // The audited configuration: sync learner, no worker pool, memory-only
 // DB, bounded replay retention. After warm-up the per-tick control path
-// must not touch the heap at all.
-TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFree) {
-  if (!util::allocation_hook_active()) {
-    GTEST_SKIP() << "counting allocator hook not linked in";
-  }
+// must not touch the heap at all. `tcp_port` 0 keeps the brain in
+// process; otherwise it is a BrainService on that loopback port, whose
+// thread shares the process-wide allocation counter.
+void expect_steady_state_tick_path_allocation_free(std::uint16_t tcp_port) {
   auto preset = learner_preset();
   preset.capes.engine.learner_mode = core::LearnerMode::kSync;
   preset.capes.worker_threads = 0;
   preset.capes.replay.max_ticks_retained = 64;
+  if (tcp_port != 0) {
+    preset.capes.transport.kind = bus::TransportKind::kTcp;
+    preset.capes.transport.tcp_host = "127.0.0.1";
+    preset.capes.transport.tcp_port = tcp_port;
+  }
 
   sim::Simulator sim;
   lustre::Cluster cluster(sim, preset.cluster);
@@ -192,6 +198,25 @@ TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFree) {
   EXPECT_EQ(after - warm, 0u)
       << "tick path allocated " << (after - warm)
       << " times across 80 steady-state ticks";
+}
+
+TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFree) {
+  if (!util::allocation_hook_active()) {
+    GTEST_SKIP() << "counting allocator hook not linked in";
+  }
+  expect_steady_state_tick_path_allocation_free(0);
+}
+
+TEST(LearnerIntegration, SteadyStateTickPathIsAllocationFreeOverTcp) {
+  if (!util::allocation_hook_active()) {
+    GTEST_SKIP() << "counting allocator hook not linked in";
+  }
+  testing::ServiceThread service;
+  ASSERT_TRUE(service.start());
+  expect_steady_state_tick_path_allocation_free(service.port());
+  const core::BrainServiceReport report = service.join();
+  EXPECT_TRUE(report.hello_ok) << report.error;
+  EXPECT_TRUE(report.clean_shutdown);
 }
 
 }  // namespace

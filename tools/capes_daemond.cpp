@@ -5,8 +5,9 @@
 // The daemon listens on a TCP endpoint, accepts one capes_agentd
 // connection, and runs a core::BrainService session over it: the entire
 // run topology (workload meta, per-domain action spaces) arrives in the
-// client's Hello, exactly the way a capture file's header rebuilds a run
-// in capes_replay — the daemon needs no workload flags of its own.
+// client's Hello, and the session's core::Brain is built from it through
+// the constructor capes_replay uses on a capture file's header — the
+// daemon needs no workload flags of its own.
 // With --port=0 the kernel picks an ephemeral port and the daemon prints
 // it on stdout (flushed before accepting), so scripts can launch the
 // pair without coordinating port numbers.

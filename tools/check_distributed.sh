@@ -9,6 +9,8 @@
 #    and require the training fingerprint AND the per-phase CSVs to be
 #    byte-identical to an in-process `capes_run --transport=sync` run at
 #    the same seed (the tcp: wire must be a transparent brain extension).
+#    Run once on one cluster and once on three (three daemon shards, so
+#    the service's action routing is compared too).
 # 2. Robustness: kill -9 the agent mid-run and require the daemon to
 #    exit on its own (link death must never hang it).
 set -euo pipefail
@@ -19,7 +21,7 @@ AGENTD="$(readlink -f "$2")"
 CAPES_RUN="$(readlink -f "$3")"
 WORK="$4"
 
-RUN_ARGS="--workload=random:0.2 --train-ticks=40 --eval-ticks=30 --seed=1"
+TICK_ARGS="--train-ticks=40 --eval-ticks=30 --seed=1"
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -40,39 +42,47 @@ wait_for_port() {
   return 1
 }
 
-echo "== equivalence: loopback tcp vs in-process sync =="
-"$DAEMOND" --port=0 > daemon.log 2>&1 &
-DAEMON_PID=$!
-PORT=$(wait_for_port daemon.log)
+# equivalence TAG WORKLOAD_ARGS: one loopback tcp run vs one sync run.
+equivalence() {
+  local tag="$1" run_args="$2 $TICK_ARGS"
+  echo "== equivalence ($tag): loopback tcp vs in-process sync =="
+  "$DAEMOND" --port=0 > "daemon_$tag.log" 2>&1 &
+  DAEMON_PID=$!
+  PORT=$(wait_for_port "daemon_$tag.log")
 
-# shellcheck disable=SC2086
-"$AGENTD" --daemon=127.0.0.1:"$PORT" $RUN_ARGS --csv=tcp | tee agent.log
-wait "$DAEMON_PID"
-cat daemon.log
+  # shellcheck disable=SC2086
+  "$AGENTD" --daemon=127.0.0.1:"$PORT" $run_args --csv="tcp_$tag" \
+    | tee "agent_$tag.log"
+  wait "$DAEMON_PID"
+  cat "daemon_$tag.log"
 
-# shellcheck disable=SC2086
-"$CAPES_RUN" --transport=sync $RUN_ARGS --csv=sync | tee sync.log
+  # shellcheck disable=SC2086
+  "$CAPES_RUN" --transport=sync $run_args --csv="sync_$tag" | tee "sync_$tag.log"
 
-TCP_FP=$(grep "training fingerprint" agent.log)
-SYNC_FP=$(grep "training fingerprint" sync.log)
-DAEMON_FP=$(grep "training fingerprint" daemon.log)
-echo "agent : $TCP_FP"
-echo "daemon: $DAEMON_FP"
-echo "sync  : $SYNC_FP"
-if [ "$TCP_FP" != "$SYNC_FP" ] || [ "$DAEMON_FP" != "$SYNC_FP" ]; then
-  echo "FAIL: tcp loopback fingerprint differs from in-process sync" >&2
-  exit 1
-fi
-for phase in training baseline tuned; do
-  cmp "tcp_${phase}.csv" "sync_${phase}.csv" || {
-    echo "FAIL: ${phase} CSV differs between tcp and sync" >&2
+  TCP_FP=$(grep "training fingerprint" "agent_$tag.log")
+  SYNC_FP=$(grep "training fingerprint" "sync_$tag.log")
+  DAEMON_FP=$(grep "training fingerprint" "daemon_$tag.log")
+  echo "agent : $TCP_FP"
+  echo "daemon: $DAEMON_FP"
+  echo "sync  : $SYNC_FP"
+  if [ "$TCP_FP" != "$SYNC_FP" ] || [ "$DAEMON_FP" != "$SYNC_FP" ]; then
+    echo "FAIL ($tag): tcp loopback fingerprint differs from in-process sync" >&2
     exit 1
-  }
-done
-if ! grep -q "control network (tcp): 0 messages dropped" agent.log; then
-  echo "FAIL: loopback run reported message loss" >&2
-  exit 1
-fi
+  fi
+  for phase in training baseline tuned; do
+    cmp "tcp_${tag}_${phase}.csv" "sync_${tag}_${phase}.csv" || {
+      echo "FAIL ($tag): ${phase} CSV differs between tcp and sync" >&2
+      exit 1
+    }
+  done
+  if ! grep -q "control network (tcp): 0 messages dropped" "agent_$tag.log"; then
+    echo "FAIL ($tag): loopback run reported message loss" >&2
+    exit 1
+  fi
+}
+
+equivalence one "--workload=random:0.2"
+equivalence three "--workload=random:0.2 --workload=seqwrite --workload=fileserver"
 
 echo "== robustness: kill -9 the agent mid-run, daemon must exit =="
 "$DAEMOND" --port=0 --idle-timeout-ms=5000 > daemon_kill.log 2>&1 &
