@@ -12,7 +12,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, std::string name
   b_.name = name + ".bias";
   b_.value.assign(out_, 0.0f);
   b_.grad.assign(out_, 0.0f);
-  w_view_.resize(out_, in_);
+  w_t_.resize(in_, out_);
 }
 
 void Dense::init_xavier(util::Rng& rng) {
@@ -26,13 +26,27 @@ void Dense::init_xavier(util::Rng& rng) {
 const Matrix& Dense::forward(const Matrix& x, util::ThreadPool* pool) {
   assert(x.cols() == in_);
   cached_input_ = x;
-  w_view_.storage() = w_.value;
-  matmul_nt(x, w_view_, output_, pool);
+  // Both paths give the same bits (matrix.hpp's summation-order contract):
+  // a batch amortises one transpose of W over its rows; acting on a
+  // single observation reads W in place.
+  if (x.rows() < kGemmRowBlock) {
+    matmul_nt(x, weight_matrix(), output_, pool);
+  } else {
+    transpose(weight_matrix(), w_t_);
+    matmul_nn(x, w_t_, output_, pool);
+  }
   add_row_vector(output_, b_.value);
   return output_;
 }
 
 const Matrix& Dense::backward(const Matrix& grad_out, util::ThreadPool* pool) {
+  backward_params(grad_out, pool);
+  // dX = grad_out * W ([batch, out] x [out, in] -> [batch, in])
+  matmul_nn(grad_out, weight_matrix(), grad_input_, pool);
+  return grad_input_;
+}
+
+void Dense::backward_params(const Matrix& grad_out, util::ThreadPool* pool) {
   assert(grad_out.cols() == out_);
   assert(grad_out.rows() == cached_input_.rows());
 
@@ -45,11 +59,6 @@ const Matrix& Dense::backward(const Matrix& grad_out, util::ThreadPool* pool) {
   // db += column sums of grad_out
   column_sums(grad_out, db_scratch_);
   for (std::size_t i = 0; i < out_; ++i) b_.grad[i] += db_scratch_[i];
-
-  // dX = grad_out * W ([batch, out] x [out, in] -> [batch, in])
-  w_view_.storage() = w_.value;
-  matmul_nn(grad_out, w_view_, grad_input_, pool);
-  return grad_input_;
 }
 
 void Dense::zero_grad() {

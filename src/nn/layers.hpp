@@ -40,6 +40,10 @@ class Dense {
   /// Accumulates into weight/bias gradients.
   const Matrix& backward(const Matrix& grad_out, util::ThreadPool* pool = nullptr);
 
+  /// backward() without the input gradient: only accumulates the
+  /// weight/bias gradients (for a first layer, whose input needs none).
+  void backward_params(const Matrix& grad_out, util::ThreadPool* pool = nullptr);
+
   void zero_grad();
 
   std::size_t in_features() const { return in_; }
@@ -50,6 +54,8 @@ class Dense {
   const Parameter& bias() const { return b_; }
 
  private:
+  ConstMatrixView weight_matrix() const { return {w_.value.data(), out_, in_}; }
+
   std::size_t in_;
   std::size_t out_;
   Parameter w_;  // [out, in] row-major
@@ -59,7 +65,7 @@ class Dense {
   Matrix grad_input_;
   // Scratch reused across calls so steady-state forward/backward perform
   // no heap allocation (the hot-path contract of the async learner).
-  Matrix w_view_;
+  Matrix w_t_;  // W^T [in, out], the batched forward's B operand
   Matrix dw_scratch_;
   std::vector<float> db_scratch_;
 };

@@ -49,7 +49,12 @@ void Mlp::backward(const Matrix& grad_out, util::ThreadPool* pool) {
       grad = activation_ == Activation::kTanh ? &tanh_[i].backward(*grad)
                                               : &relu_[i].backward(*grad);
     }
-    grad = &dense_[i].backward(*grad, pool);
+    if (i > 0) {
+      grad = &dense_[i].backward(*grad, pool);
+    } else {
+      // Nothing reads the gradient wrt the network input; skip computing it.
+      dense_[i].backward_params(*grad, pool);
+    }
   }
 }
 

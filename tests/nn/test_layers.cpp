@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace capes::nn {
 namespace {
@@ -134,6 +136,111 @@ TEST(Dense, NumericalGradientCheck) {
   float expected_dx = 0.0f;
   for (std::size_t o = 0; o < 3; ++o) expected_dx += d.weights().value[o * 4];
   EXPECT_NEAR(dx.at(0, 0), expected_dx, 1e-4f);
+}
+
+Matrix random_with_zeros(std::size_t r, std::size_t c, util::Rng& rng) {
+  Matrix m = random_matrix(r, c, rng);
+  for (std::size_t i = 0; i < m.size(); i += 4) m.data()[i] = 0.0f;
+  return m;
+}
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Strict-order reference of one Dense output: +0.0f, then x[p] * W[j][p]
+/// for increasing p, then the bias.
+float reference_output(const Dense& d, const Matrix& x, std::size_t i,
+                       std::size_t j) {
+  float acc = 0.0f;
+  for (std::size_t p = 0; p < d.in_features(); ++p) {
+    acc += x.at(i, p) * d.weights().value[j * d.in_features() + p];
+  }
+  return acc + d.bias().value[j];
+}
+
+/// Forward is exact on both of its paths: fewer than 4 rows reads W in
+/// place, larger batches go through the transposed panel.
+TEST(Dense, ForwardMatchesStrictOrderReferenceBitForBit) {
+  util::Rng rng(11);
+  Dense d(37, 19, "d");
+  d.init_xavier(rng);
+  d.bias().value = random_matrix(1, 19, rng).storage();
+  util::ThreadPool pool(3);
+  for (std::size_t n : {1u, 3u, 4u, 5u, 33u}) {
+    const Matrix x = random_with_zeros(n, 37, rng);
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+      const Matrix& y = d.forward(x, p);
+      ASSERT_EQ(y.rows(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < 19; ++j) {
+          const float want = reference_output(d, x, i, j);
+          ASSERT_TRUE(same_bits(&y.row(i)[j], &want, 1))
+              << "n=" << n << " row " << i << " col " << j;
+        }
+      }
+    }
+  }
+}
+
+/// Acting on one observation (the n < 4 path) gives the same bits as the
+/// same row inside a training-sized batch (the packed path).
+TEST(Dense, SingleRowForwardMatchesBatchedRow) {
+  util::Rng rng(12);
+  Dense d(225, 128, "d");
+  d.init_xavier(rng);
+  const Matrix batch = random_with_zeros(32, 225, rng);
+  const Matrix batched = d.forward(batch);
+  for (std::size_t i : {0u, 13u, 31u}) {
+    Matrix one(1, 225);
+    std::copy(batch.row(i), batch.row(i) + 225, one.row(0));
+    const Matrix& y = d.forward(one);
+    EXPECT_TRUE(same_bits(y.row(0), batched.row(i), 128)) << "row " << i;
+  }
+}
+
+/// backward() accumulates exact strict-order dW, db and returns the exact
+/// input gradient; backward_params() fills the same parameter gradients.
+TEST(Dense, BackwardMatchesStrictOrderReferenceBitForBit) {
+  util::Rng rng(13);
+  const std::size_t n = 9, in = 21, out = 11;
+  Dense d(in, out, "d");
+  d.init_xavier(rng);
+  const Matrix x = random_with_zeros(n, in, rng);
+  const Matrix g = random_with_zeros(n, out, rng);
+  d.forward(x);
+  const Matrix& dx = d.backward(g);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t p = 0; p < in; ++p) {
+      float acc = 0.0f;
+      for (std::size_t j = 0; j < out; ++j) {
+        acc += g.at(i, j) * d.weights().value[j * in + p];
+      }
+      ASSERT_TRUE(same_bits(&dx.row(i)[p], &acc, 1)) << "dx " << i << "," << p;
+    }
+  }
+  for (std::size_t j = 0; j < out; ++j) {
+    for (std::size_t p = 0; p < in; ++p) {
+      float acc = 0.0f;
+      for (std::size_t i = 0; i < n; ++i) acc += g.at(i, j) * x.at(i, p);
+      const float want = 0.0f + acc;
+      ASSERT_TRUE(same_bits(&d.weights().grad[j * in + p], &want, 1))
+          << "dW " << j << "," << p;
+    }
+    float db = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) db += g.at(i, j);
+    const float want = 0.0f + db;
+    ASSERT_TRUE(same_bits(&d.bias().grad[j], &want, 1)) << "db " << j;
+  }
+
+  Dense params_only(in, out, "d");
+  params_only.weights().value = d.weights().value;
+  params_only.forward(x);
+  params_only.backward_params(g);
+  EXPECT_TRUE(same_bits(params_only.weights().grad.data(),
+                        d.weights().grad.data(), in * out));
+  EXPECT_TRUE(same_bits(params_only.bias().grad.data(),
+                        d.bias().grad.data(), out));
 }
 
 TEST(Tanh, ForwardValues) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -200,6 +202,76 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 3, 4), std::make_tuple(16, 16, 16),
                       std::make_tuple(32, 7, 9), std::make_tuple(5, 64, 3),
                       std::make_tuple(33, 17, 65)));
+
+Matrix transposed(const Matrix& m) {
+  Matrix t(m.cols(), m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) t.at(j, i) = m.at(i, j);
+  }
+  return t;
+}
+
+/// Random entries with exact zeros of both signs mixed in (observations
+/// and relu activations contain them), so the bit-for-bit checks cover
+/// ±0 products too.
+Matrix random_with_zeros(std::size_t r, std::size_t c, util::Rng& rng) {
+  Matrix m = random_matrix(r, c, rng);
+  for (std::size_t i = 0; i < m.size(); i += 3) {
+    m.data()[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  return m;
+}
+
+void expect_bits_equal(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0);
+}
+
+/// The summation-order contract of nn/matrix.hpp (strict order, from
+/// +0.0f, increasing k): every kernel must match reference_nn bit for
+/// bit, serially and on a pool, at shapes that leave remainder rows
+/// (n % 4), partial column tiles and single-term reductions (k = 1).
+class ExactKernels
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(ExactKernels, MatchStrictOrderReferenceBitForBit) {
+  const auto [n, k, m] = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(n * 10000 + k * 100 + m));
+  const Matrix a = random_with_zeros(n, k, rng);
+  const Matrix b = random_with_zeros(k, m, rng);
+  const Matrix ref = reference_nn(a, b);
+  const Matrix at = transposed(a);
+  const Matrix bt = transposed(b);
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    Matrix c;
+    matmul_nn(a, b, c, p);
+    expect_bits_equal(c, ref);
+    matmul_nt(a, bt, c, p);
+    expect_bits_equal(c, ref);
+    matmul_tn(at, b, c, p);
+    expect_bits_equal(c, ref);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ExactKernels,
+    ::testing::Combine(::testing::Values(1, 3, 4, 5, 33),
+                       ::testing::Values(1, 7, 130),
+                       ::testing::Values(1, 5, 13, 67)));
+
+TEST(MatrixHelpers, TransposeMatchesElementwise) {
+  util::Rng rng(7);
+  for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{1, 1},
+                             {5, 128}, {37, 19}, {128, 225}}) {
+    const Matrix m = random_with_zeros(r, c, rng);
+    Matrix t(3, 3, 99.0f);  // stale contents and shape are replaced
+    transpose(m, t);
+    expect_bits_equal(t, transposed(m));
+  }
+}
 
 }  // namespace
 }  // namespace capes::nn

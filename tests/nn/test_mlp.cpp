@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "util/rng.hpp"
@@ -17,6 +18,65 @@ Matrix random_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
     m.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   return m;
+}
+
+/// Mlp::backward skips layer 0's input gradient. Every parameter gradient
+/// must still equal, bit for bit, a hand-wired copy of the network whose
+/// first layer runs the full Dense::backward.
+TEST(Mlp, BackwardWithoutInputGradientKeepsEveryParameterGradient) {
+  for (Activation act : {Activation::kTanh, Activation::kRelu}) {
+    util::Rng rng(21);
+    const std::vector<std::size_t> sizes = {23, 17, 9, 4};
+    Mlp mlp(sizes, rng, act);
+    std::vector<Dense> layers;
+    for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+      layers.emplace_back(sizes[i], sizes[i + 1], "copy");
+      layers[i].weights().value = mlp.parameters()[2 * i]->value;
+      layers[i].bias().value = mlp.parameters()[2 * i + 1]->value;
+    }
+    std::vector<Tanh> tanhs(layers.size() - 1);
+    std::vector<Relu> relus(layers.size() - 1);
+
+    Matrix x = random_matrix(6, 23, rng);
+    for (std::size_t i = 0; i < x.size(); i += 5) x.data()[i] = 0.0f;
+    const Matrix g = random_matrix(6, 4, rng);
+    mlp.zero_grad();
+    mlp.forward(x);
+    mlp.backward(g);
+
+    const Matrix* cur = &x;
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      cur = &layers[i].forward(*cur);
+      if (i + 1 < layers.size()) {
+        cur = act == Activation::kTanh ? &tanhs[i].forward(*cur)
+                                       : &relus[i].forward(*cur);
+      }
+    }
+    const Matrix* grad = &g;
+    for (std::size_t i = layers.size(); i-- > 0;) {
+      if (i + 1 < layers.size()) {
+        grad = act == Activation::kTanh ? &tanhs[i].backward(*grad)
+                                        : &relus[i].backward(*grad);
+      }
+      grad = &layers[i].backward(*grad);
+    }
+    ASSERT_EQ(grad->rows(), 6u);
+    ASSERT_EQ(grad->cols(), 23u);
+
+    const auto params = mlp.parameters();
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      const Parameter& w = layers[i].weights();
+      const Parameter& b = layers[i].bias();
+      EXPECT_EQ(std::memcmp(params[2 * i]->grad.data(), w.grad.data(),
+                            w.grad.size() * sizeof(float)),
+                0)
+          << "layer " << i << " weight grad";
+      EXPECT_EQ(std::memcmp(params[2 * i + 1]->grad.data(), b.grad.data(),
+                            b.grad.size() * sizeof(float)),
+                0)
+          << "layer " << i << " bias grad";
+    }
+  }
 }
 
 TEST(Mlp, ShapesAndParameterCount) {
