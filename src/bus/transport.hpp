@@ -65,8 +65,8 @@ struct TransportOptions {
   /// daemon binary and rejected in specs).
   std::string tcp_host;
   std::int64_t tcp_port = 0;
-  /// Connect retry budget: capes_agentd retries with capped backoff until
-  /// this deadline (tcp only).
+  /// Connect retry budget: the agent side retries with capped backoff
+  /// until this deadline (tcp only).
   std::int64_t connect_timeout_ms = 5000;
   /// Reserved for multi-endpoint daemons; today each endpoint owns
   /// exactly one I/O thread, so only 1..64 is accepted and values > 1

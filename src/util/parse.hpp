@@ -22,7 +22,8 @@ bool parse_double(std::string_view text, double* out);
 
 /// Split a "--name=value" command-line argument: when `arg` starts with
 /// `name` immediately followed by '=', store the value part in *out and
-/// return true. Shared by the CLI driver and the bench binaries.
+/// return true. The bench binaries' hand-rolled flag loops use it; the
+/// tools declare util::Flag tables instead (util/cli.hpp).
 bool parse_flag(const char* arg, const char* name, std::string* out);
 
 }  // namespace capes::util

@@ -13,13 +13,13 @@
 // records exits nonzero.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "core/trace_replay.hpp"
+#include "util/cli.hpp"
 #include "util/config.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
 
@@ -32,58 +32,20 @@ struct Args {
   std::string diff;  ///< second conf: replay twice and compare phases
 };
 
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (util::parse_flag(argv[i], "--capture", &value)) {
-      args->capture = value;
-    } else if (util::parse_flag(argv[i], "--speed", &value)) {
-      if (!core::parse_replay_speed(value, &args->speed)) {
-        std::fprintf(stderr,
-                     "invalid value for --speed: '%s' (expected realtime, "
-                     "fast or max)\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (util::parse_flag(argv[i], "--conf", &value)) {
-      args->conf = value;
-    } else if (util::parse_flag(argv[i], "--diff", &value)) {
-      args->diff = value;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  if (args->capture.empty()) {
-    std::fprintf(stderr, "--capture=FILE is required\n");
-    return ParseOutcome::kError;
-  }
-  return ParseOutcome::kOk;
-}
-
-void print_usage() {
-  std::printf(
-      "usage: capes_replay --capture=FILE [--speed=realtime|fast|max]\n"
-      "                    [--conf=FILE] [--diff=FILE] [--help]\n"
-      "\n"
-      "Replays a capes_run --capture= flight recording into a fresh\n"
-      "Interface Daemon + DRL Engine: the traced PI bytes hit fresh\n"
-      "decoders in delivery order and training-phase action records drive\n"
-      "real train steps (train-from-trace). At --speed=max (the default) a\n"
-      "seeded capture reproduces the live run's training fingerprint\n"
-      "bit-for-bit; realtime paces one sampling tick per trace tick and\n"
-      "fast runs 20x that.\n"
-      "--conf=FILE overlays engine/replay hyperparameters (core conf keys)\n"
-      "onto the traced configuration — same traffic, different tuner.\n"
-      "--diff=FILE replays twice, the second time under FILE's keys, and\n"
-      "prints the per-phase outcomes side by side.\n"
-      "Torn/corrupt tails truncate at the last valid record (reported);\n"
-      "only a capture with zero valid records fails.\n");
-}
+constexpr const char* kEpilogue =
+    "Replays a capes_run --capture= flight recording into a fresh\n"
+    "Interface Daemon + DRL Engine: the traced PI bytes hit fresh\n"
+    "decoders in delivery order and training-phase action records drive\n"
+    "real train steps (train-from-trace). At --speed=max (the default) a\n"
+    "seeded capture reproduces the live run's training fingerprint\n"
+    "bit-for-bit; realtime paces one sampling tick per trace tick and\n"
+    "fast runs 20x that.\n"
+    "--conf=FILE overlays engine/replay hyperparameters (core conf keys)\n"
+    "onto the traced configuration — same traffic, different tuner.\n"
+    "--diff=FILE replays twice, the second time under FILE's keys, and\n"
+    "prints the per-phase outcomes side by side.\n"
+    "Torn/corrupt tails truncate at the last valid record (reported);\n"
+    "only a capture with zero valid records fails.\n";
 
 bool load_overlay(const std::string& path, core::CapesOptions* out) {
   util::Config cfg;
@@ -179,15 +141,28 @@ bool replay_once(const Args& args, const core::CapesOptions* overlay,
 
 int main(int argc, char** argv) {
   Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  const std::vector<util::Flag> flags = {
+      {"--capture", "FILE", "the recording to replay (required)",
+       util::store_to(&args.capture)},
+      {"--speed", "realtime|fast|max", "replay pacing (default max)",
+       [&](const std::string& v, std::string* why) {
+         if (core::parse_replay_speed(v, &args.speed)) return true;
+         *why = "expected realtime, fast or max";
+         return false;
+       }},
+      {"--conf", "FILE", "overlay these conf keys onto the traced run",
+       util::store_to(&args.conf)},
+      {"--diff", "FILE", "replay again under FILE's keys and compare phases",
+       util::store_to(&args.diff)},
+  };
+  if (auto rc = util::parse_command_line(argc, argv, "capes_replay", flags,
+                                         kEpilogue)) {
+    return *rc;
+  }
+  if (args.capture.empty()) {
+    std::fprintf(stderr, "--capture=FILE is required\n");
+    std::printf("%s", util::usage_text("capes_replay", flags).c_str());
+    return 2;
   }
 
   core::CapesOptions conf_overlay;

@@ -5,18 +5,23 @@
 // evaluation workflow (train -> baseline -> tuned) through the
 // core::Experiment facade, and optionally dump per-tick CSVs and a model
 // checkpoint. `--list-workloads` prints every registered workload with
-// its spec syntax.
+// its spec syntax. With `--transport=tcp:host=H,port=N` this process is
+// the agent side of a distributed deployment (§3.3): the simulated
+// clusters and their agents run here, the Interface Daemon + DRL Engine
+// in a separate capes_daemond.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "bus/transport.hpp"
 #include "core/experiment.hpp"
+#include "core/remote_brain.hpp"
 #include "sim/fault.hpp"
 #include "sim/shard_planner.hpp"
+#include "util/cli.hpp"
 #include "util/parse.hpp"
 #include "workload/registry.hpp"
 
@@ -24,200 +29,58 @@ using namespace capes;
 
 namespace {
 
-struct Args {
-  /// Repeatable --workload=: one control domain per spec, in flag order.
-  /// Empty means the default single "random:0.1" domain.
-  std::vector<std::string> workloads;
-  /// --clusters=N replicates a single workload spec into N domains.
-  std::int64_t clusters = 1;
-  /// --threads=N: worker threads for the per-tick hot path (0 = off).
-  /// Unset means "the preset/conf decides", so an explicit --threads=0
-  /// can force the single-threaded path over a conf file's setting.
-  std::optional<std::int64_t> threads;
-  /// --transport=sync|sim[:latency_ticks=..,jitter=..,drop=..,seed=..].
-  /// Unset means "the preset/conf decides" (sync by default).
-  std::optional<std::string> transport;
-  /// --learner=sync|async: where DRL training steps run. Unset means
-  /// "the preset/conf decides" (sync by default).
-  std::optional<std::string> learner;
-  /// --sim-shards=auto|N: per-domain simulator event queues (0 = auto =
-  /// one per control domain). Unset means "the preset/conf decides"
-  /// (the serial single-queue loop by default).
-  std::optional<std::size_t> sim_shards;
-  /// --shard-plan=static|rate: how control domains are packed onto the
-  /// simulator shards. Unset means "the preset/conf decides" (static
-  /// round-robin by default).
-  std::optional<std::string> shard_plan;
-  /// --faults=off|faults[:ost_crash=..,...]: deterministic fault
-  /// injection. Unset means "the preset/conf decides" (off by default).
-  std::optional<std::string> faults;
-  std::string conf;
-  std::string csv_prefix;
-  std::string model_out;
-  std::string model_in;
-  /// --capture=FILE: flight-record every daemon-boundary message for
-  /// offline replay with capes_replay ("" = off).
-  std::string capture;
-  std::int64_t train_ticks = -1;
-  std::int64_t eval_ticks = -1;
-  /// Unset means "the preset/conf decides"; an explicit --seed wins over
-  /// a conf file's seed keys (ExperimentBuilder::seed semantics).
-  std::optional<std::uint64_t> seed;
-  bool monitor_servers = false;
-  bool tune_write_cache = false;
-  bool list_workloads = false;
-};
+constexpr auto kNoMax = std::numeric_limits<std::int64_t>::max();
 
-using util::parse_flag;
-
-/// Strict numeric flag: "--train-ticks=abc" is an error, not 0.
-template <typename T, bool (*Parse)(std::string_view, T*)>
-bool parse_numeric_flag(const char* flag_name, const std::string& value,
-                        T* out) {
-  if (Parse(value, out)) return true;
-  std::fprintf(stderr, "invalid value for %s: '%s'\n", flag_name,
-               value.c_str());
-  return false;
-}
-
-/// Tick-count flag: strict and non-negative (-1 stays an internal
-/// "use the preset default" sentinel, never a user input).
-bool parse_ticks_flag(const char* flag_name, const std::string& value,
-                      std::int64_t* out) {
-  if (!parse_numeric_flag<std::int64_t, util::parse_i64>(flag_name, value, out))
-    return false;
-  if (*out < 0) {
-    std::fprintf(stderr, "%s must be >= 0, got %s\n", flag_name, value.c_str());
-    return false;
-  }
-  return true;
-}
-
-enum class ParseOutcome { kOk, kError, kHelp };
-
-ParseOutcome parse_args(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--workload", &value)) {
-      args->workloads.push_back(value);
-    } else if (parse_flag(argv[i], "--clusters", &value)) {
-      if (!parse_numeric_flag<std::int64_t, util::parse_i64>("--clusters",
-                                                             value,
-                                                             &args->clusters))
-        return ParseOutcome::kError;
-      if (args->clusters < 1) {
-        std::fprintf(stderr, "--clusters must be >= 1, got %s\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-    } else if (parse_flag(argv[i], "--threads", &value)) {
-      std::int64_t threads = 0;
-      if (!parse_numeric_flag<std::int64_t, util::parse_i64>("--threads",
-                                                             value, &threads))
-        return ParseOutcome::kError;
-      if (threads < 0) {
-        std::fprintf(stderr, "--threads must be >= 0, got %s\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->threads = threads;
-    } else if (parse_flag(argv[i], "--transport", &value)) {
-      // Validate eagerly so an unknown scheme or malformed option list is
-      // a usage error (exit 2) before any experiment work starts.
-      bus::TransportOptions parsed;
-      std::string transport_error;
-      if (!bus::parse_transport_spec(value, &parsed, &transport_error)) {
-        std::fprintf(stderr, "invalid value for --transport: %s\n",
-                     transport_error.c_str());
-        return ParseOutcome::kError;
-      }
-      args->transport = value;
-    } else if (parse_flag(argv[i], "--learner", &value)) {
-      if (value != "sync" && value != "async") {
-        std::fprintf(stderr,
-                     "invalid value for --learner: '%s' (expected sync or "
-                     "async)\n",
-                     value.c_str());
-        return ParseOutcome::kError;
-      }
-      args->learner = value;
-    } else if (parse_flag(argv[i], "--sim-shards", &value)) {
-      if (value == "auto") {
-        args->sim_shards = 0;  // ExperimentBuilder: one shard per domain
-      } else {
-        std::uint64_t shards = 0;
-        if (!parse_numeric_flag<std::uint64_t, util::parse_u64>(
-                "--sim-shards", value, &shards))
-          return ParseOutcome::kError;
-        if (shards < 1) {
-          std::fprintf(stderr, "--sim-shards must be >= 1 or 'auto', got %s\n",
-                       value.c_str());
-          return ParseOutcome::kError;
-        }
-        args->sim_shards = static_cast<std::size_t>(shards);
-      }
-    } else if (parse_flag(argv[i], "--shard-plan", &value)) {
-      sim::ShardPlanKind kind;
-      std::string plan_error;
-      if (!sim::parse_shard_plan_spec(value, &kind, &plan_error)) {
-        std::fprintf(stderr, "invalid value for --shard-plan: %s\n",
-                     plan_error.c_str());
-        return ParseOutcome::kError;
-      }
-      args->shard_plan = value;
-    } else if (parse_flag(argv[i], "--faults", &value)) {
-      // Validate eagerly, like --transport: an unknown fault kind or an
-      // out-of-range rate is a usage error (exit 2) before any
-      // experiment work starts.
-      sim::FaultPlan parsed;
-      std::string fault_error;
-      if (!sim::parse_fault_spec(value, &parsed, &fault_error)) {
-        std::fprintf(stderr, "invalid value for --faults: %s\n",
-                     fault_error.c_str());
-        return ParseOutcome::kError;
-      }
-      args->faults = value;
-    } else if (parse_flag(argv[i], "--conf", &value)) {
-      args->conf = value;
-    } else if (parse_flag(argv[i], "--csv", &value)) {
-      args->csv_prefix = value;
-    } else if (parse_flag(argv[i], "--capture", &value)) {
-      if (value.empty()) {
-        std::fprintf(stderr, "--capture needs a file path\n");
-        return ParseOutcome::kError;
-      }
-      args->capture = value;
-    } else if (parse_flag(argv[i], "--model", &value)) {
-      args->model_out = value;
-    } else if (parse_flag(argv[i], "--load-model", &value)) {
-      args->model_in = value;
-    } else if (parse_flag(argv[i], "--train-ticks", &value)) {
-      if (!parse_ticks_flag("--train-ticks", value, &args->train_ticks))
-        return ParseOutcome::kError;
-    } else if (parse_flag(argv[i], "--eval-ticks", &value)) {
-      if (!parse_ticks_flag("--eval-ticks", value, &args->eval_ticks))
-        return ParseOutcome::kError;
-    } else if (parse_flag(argv[i], "--seed", &value)) {
-      std::uint64_t seed = 0;
-      if (!parse_numeric_flag<std::uint64_t, util::parse_u64>("--seed", value,
-                                                              &seed))
-        return ParseOutcome::kError;
-      args->seed = seed;
-    } else if (std::strcmp(argv[i], "--monitor-servers") == 0) {
-      args->monitor_servers = true;
-    } else if (std::strcmp(argv[i], "--tune-write-cache") == 0) {
-      args->tune_write_cache = true;
-    } else if (std::strcmp(argv[i], "--list-workloads") == 0) {
-      args->list_workloads = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return ParseOutcome::kHelp;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return ParseOutcome::kError;
-    }
-  }
-  return ParseOutcome::kOk;
-}
+constexpr const char* kEpilogue =
+    "Repeat --workload to tune several clusters (one control domain each)\n"
+    "with one shared DRL brain, or use --clusters=N to replicate a single\n"
+    "spec across N identically configured clusters. --threads=N fans the\n"
+    "per-tick sampling/training hot path out over N worker threads.\n"
+    "--sim-shards shards the simulator event loop itself: auto gives\n"
+    "every control domain its own event queue, N caps the queue count\n"
+    "(1 = the serial loop), and the queues advance concurrently on the\n"
+    "--threads pool between sampling ticks — same results, faster on\n"
+    "multi-core hosts. --shard-plan picks the domain placement:\n"
+    "static round-robins domains over the queues (the default); rate\n"
+    "re-packs them at every phase boundary by last-phase observed event\n"
+    "rate (greedy LPT), which evens out skewed workloads. Placement\n"
+    "derives only from deterministic event counts, so results stay\n"
+    "bit-identical across plans, shard counts and thread counts\n"
+    "(conf: capes.sim.shard_plan).\n"
+    "--transport=sync delivers every agent<->daemon message within its\n"
+    "tick (the default). --transport=sim puts the hops on a simulated\n"
+    "control network with seeded latency/jitter/drop, e.g.\n"
+    "  --transport=sim:latency_ticks=2,jitter=2,drop=0.05,seed=7\n"
+    "(drop in [0,1); latency_ticks/jitter >= 0; seed pins the network\n"
+    "realization independently of --seed). --transport=tcp makes this\n"
+    "process the agent side of a distributed run: the clusters and their\n"
+    "agents stay here and connect to a separate capes_daemond hosting the\n"
+    "DRL brain, e.g.\n"
+    "  --transport=tcp:host=127.0.0.1,port=4890\n"
+    "(the connection retries for connect_timeout_ms, default 5000, so\n"
+    "either process may start first; the closing 'control network (tcp)'\n"
+    "line reports lost messages and whether the link is still alive).\n"
+    "--faults injects deterministic failures into the simulated target\n"
+    "systems: ost_crash crashes an OST per tick with probability P (it\n"
+    "restarts after restart_ticks; queued and in-flight I/O is rejected\n"
+    "while down), straggler slows a disk by slow_factor for\n"
+    "straggler_ticks, and partition silently drops a control domain's\n"
+    "agent traffic for partition_ticks (surfacing as dropped messages),\n"
+    "e.g.\n"
+    "  --faults=faults:ost_crash=0.001,straggler=0.01,slow_factor=8\n"
+    "(rates in [0,1); windows >= 1; seed pins the fault realization\n"
+    "independently of --seed). Every fate is a pure hash of (seed, kind,\n"
+    "node, tick), so a seeded faulted run is bit-identical at any\n"
+    "--sim-shards/--threads count and under --shard-plan=rate; faults\n"
+    "compose with --transport=sim drops. Rejected with --transport=tcp\n"
+    "(conf: capes.sim.faults.*).\n"
+    "--learner=async moves DRL training to a dedicated learner thread\n"
+    "that overlaps the next tick's simulation; actions and weights stay\n"
+    "bit-identical to --learner=sync (the default) at the same seed.\n"
+    "--capture=FILE flight-records every daemon-boundary message (PI\n"
+    "status, actions, broadcasts) plus rewards and phase markers; replay\n"
+    "the capture offline with capes_replay (conf: capes.capture.path).\n"
+    "See docs/CONFIG.md for the full flag and conf-key reference.\n";
 
 std::string registered_names_joined() {
   std::string joined;
@@ -226,74 +89,6 @@ std::string registered_names_joined() {
     joined += name;
   }
   return joined;
-}
-
-void print_usage() {
-  std::printf(
-      "usage: capes_run [--workload=%s (with optional :spec args)]...\n"
-      "                 [--clusters=N] [--threads=N] [--sim-shards=auto|N]\n"
-      "                 [--shard-plan=static|rate]\n"
-      "                 [--faults=off|faults[:ost_crash=P,restart_ticks=N,"
-      "straggler=P,\n"
-      "                           slow_factor=X,straggler_ticks=N,partition=P,"
-      "\n"
-      "                           partition_ticks=N,seed=N]]\n"
-      "                 [--transport=sync|sim[:latency_ticks=N,jitter=X,"
-      "drop=P,seed=N]\n"
-      "                              |tcp:host=H,port=N[,connect_timeout_ms=N,"
-      "io_threads=N]]\n"
-      "                 [--learner=sync|async]\n"
-      "                 [--conf=FILE] [--train-ticks=N] [--eval-ticks=N]\n"
-      "                 [--csv=PREFIX] [--model=FILE] [--load-model=FILE]\n"
-      "                 [--capture=FILE]\n"
-      "                 [--seed=N] [--monitor-servers] [--tune-write-cache]\n"
-      "                 [--list-workloads] [--help]\n"
-      "\n"
-      "Repeat --workload to tune several clusters (one control domain each)\n"
-      "with one shared DRL brain, or use --clusters=N to replicate a single\n"
-      "spec across N identically configured clusters. --threads=N fans the\n"
-      "per-tick sampling/training hot path out over N worker threads.\n"
-      "--sim-shards shards the simulator event loop itself: auto gives\n"
-      "every control domain its own event queue, N caps the queue count\n"
-      "(1 = the serial loop), and the queues advance concurrently on the\n"
-      "--threads pool between sampling ticks — same results, faster on\n"
-      "multi-core hosts. --shard-plan picks the domain placement:\n"
-      "static round-robins domains over the queues (the default); rate\n"
-      "re-packs them at every phase boundary by last-phase observed event\n"
-      "rate (greedy LPT), which evens out skewed workloads. Placement\n"
-      "derives only from deterministic event counts, so results stay\n"
-      "bit-identical across plans, shard counts and thread counts\n"
-      "(conf: capes.sim.shard_plan).\n"
-      "--transport=sync delivers every agent<->daemon message within its\n"
-      "tick (the default). --transport=sim puts the hops on a simulated\n"
-      "control network with seeded latency/jitter/drop, e.g.\n"
-      "  --transport=sim:latency_ticks=2,jitter=2,drop=0.05,seed=7\n"
-      "(drop in [0,1); latency_ticks/jitter >= 0; seed pins the network\n"
-      "realization independently of --seed). --transport=tcp connects the\n"
-      "agents to a separate capes_daemond process hosting the DRL brain\n"
-      "(capes_agentd wraps this spec behind a --daemon=HOST:PORT flag).\n"
-      "--faults injects deterministic failures into the simulated target\n"
-      "systems: ost_crash crashes an OST per tick with probability P (it\n"
-      "restarts after restart_ticks; queued and in-flight I/O is rejected\n"
-      "while down), straggler slows a disk by slow_factor for\n"
-      "straggler_ticks, and partition silently drops a control domain's\n"
-      "agent traffic for partition_ticks (surfacing as dropped messages),\n"
-      "e.g.\n"
-      "  --faults=faults:ost_crash=0.001,straggler=0.01,slow_factor=8\n"
-      "(rates in [0,1); windows >= 1; seed pins the fault realization\n"
-      "independently of --seed). Every fate is a pure hash of (seed, kind,\n"
-      "node, tick), so a seeded faulted run is bit-identical at any\n"
-      "--sim-shards/--threads count and under --shard-plan=rate; faults\n"
-      "compose with --transport=sim drops. Rejected with --transport=tcp\n"
-      "(conf: capes.sim.faults.*).\n"
-      "--learner=async moves DRL training to a dedicated learner thread\n"
-      "that overlaps the next tick's simulation; actions and weights stay\n"
-      "bit-identical to --learner=sync (the default) at the same seed.\n"
-      "--capture=FILE flight-records every daemon-boundary message (PI\n"
-      "status, actions, broadcasts) plus rewards and phase markers; replay\n"
-      "the capture offline with capes_replay (conf: capes.capture.path).\n"
-      "See docs/CONFIG.md for the full flag and conf-key reference.\n",
-      registered_names_joined().c_str());
 }
 
 void print_workloads() {
@@ -308,62 +103,180 @@ void print_workloads() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  switch (parse_args(argc, argv, &args)) {
-    case ParseOutcome::kOk:
-      break;
-    case ParseOutcome::kHelp:
-      print_usage();
-      return 0;
-    case ParseOutcome::kError:
-      print_usage();
-      return 2;
+  auto builder = core::Experiment::builder();
+  // Flag handlers feed the builder directly; only values that need work
+  // after parsing land in locals.
+  std::vector<std::string> workloads;  ///< one control domain per spec
+  std::int64_t clusters = 1;
+  std::string csv_prefix;
+  std::string model_out;
+  std::string model_in;
+  bool list_workloads = false;
+
+  // Tick counts are strict and non-negative (-1 stays the builder's
+  // internal "use the preset default" sentinel, never a user input).
+  auto ticks_flag = [](const char* name, const char* help, auto set) {
+    return util::Flag{name, "N", help,
+                      [set](const std::string& v, std::string* why) {
+                        std::int64_t ticks = 0;
+                        if (!util::parse_int_flag(v, 0, kNoMax, &ticks, why))
+                          return false;
+                        set(ticks);
+                        return true;
+                      }};
+  };
+  const std::vector<util::Flag> flags = {
+      {"--workload", "SPEC",
+       registered_names_joined() +
+           " with optional :spec args; repeat for one control domain per "
+           "spec (default random:0.1)",
+       [&](const std::string& v, std::string*) {
+         workloads.push_back(v);
+         return true;
+       }},
+      {"--clusters", "N", "replicate a single --workload spec across N clusters",
+       [&](const std::string& v, std::string* why) {
+         return util::parse_int_flag(v, 1, kNoMax, &clusters, why);
+       }},
+      {"--threads", "N", "worker threads for the per-tick hot path (0 = off)",
+       [&](const std::string& v, std::string* why) {
+         std::int64_t threads = 0;
+         if (!util::parse_int_flag(v, 0, kNoMax, &threads, why)) return false;
+         builder.worker_threads(static_cast<std::size_t>(threads));
+         return true;
+       }},
+      {"--sim-shards", "auto|N",
+       "simulator event queues: auto = one per control domain, N caps them",
+       [&](const std::string& v, std::string* why) {
+         std::uint64_t shards = 0;  // 0 = auto: one shard per domain
+         if (v != "auto" && (!util::parse_u64(v, &shards) || shards < 1)) {
+           *why = "expected 'auto' or an integer >= 1";
+           return false;
+         }
+         builder.sim_shards(static_cast<std::size_t>(shards));
+         return true;
+       }},
+      {"--shard-plan", "static|rate", "placement of domains on the shards",
+       [&](const std::string& v, std::string* why) {
+         sim::ShardPlanKind kind = sim::ShardPlanKind::kStatic;
+         if (!sim::parse_shard_plan_spec(v, &kind, why)) return false;
+         builder.shard_plan(v);
+         return true;
+       }},
+      // The spec flags validate eagerly, so a typo is a usage error
+      // (exit 2) before any experiment work starts, not a build() error.
+      {"--faults", "SPEC",
+       "fault injection: off (the default) or faults[:KEY=VALUE,...] with "
+       "keys ost_crash=P restart_ticks=N straggler=P slow_factor=X "
+       "straggler_ticks=N partition=P partition_ticks=N seed=N",
+       [&](const std::string& v, std::string* why) {
+         sim::FaultPlan plan;
+         if (!sim::parse_fault_spec(v, &plan, why)) return false;
+         builder.faults(v);
+         return true;
+       }},
+      {"--transport", "SPEC",
+       "agent <-> daemon network: sync (the default), "
+       "sim[:latency_ticks=N,jitter=X,drop=P,seed=N], or "
+       "tcp:host=H,port=N[,connect_timeout_ms=N,io_threads=N] to run as the "
+       "agent side of a capes_daemond",
+       [&](const std::string& v, std::string* why) {
+         bus::TransportOptions options;
+         if (!bus::parse_transport_spec(v, &options, why)) return false;
+         builder.transport(v);
+         return true;
+       }},
+      {"--learner", "sync|async", "where DRL training steps run",
+       [&](const std::string& v, std::string* why) {
+         if (v != "sync" && v != "async") {
+           *why = "expected sync or async";
+           return false;
+         }
+         builder.learner(v);
+         return true;
+       }},
+      {"--conf", "FILE", "conf-file overlay (docs/CONFIG.md keys)",
+       [&](const std::string& v, std::string*) {
+         builder.config_file(v);
+         return true;
+       }},
+      ticks_flag("--train-ticks", "training-phase sampling ticks",
+                 [&](std::int64_t t) { builder.train_ticks(t); }),
+      ticks_flag("--eval-ticks", "baseline and tuned measurement ticks",
+                 [&](std::int64_t t) { builder.eval_ticks(t); }),
+      {"--csv", "PREFIX", "write PREFIX_<phase>.csv per phase",
+       util::store_to(&csv_prefix)},
+      {"--model", "FILE", "save the trained model after the run",
+       util::store_to(&model_out)},
+      {"--load-model", "FILE", "load a model before the run",
+       util::store_to(&model_in)},
+      {"--capture", "FILE",
+       "flight-record every daemon-boundary message for capes_replay",
+       [&](const std::string& v, std::string* why) {
+         if (v.empty()) {
+           *why = "needs a file path";
+           return false;
+         }
+         builder.capture(v);
+         return true;
+       }},
+      {"--seed", "N", "experiment seed (wins over conf-file seed keys)",
+       [&](const std::string& v, std::string* why) {
+         std::uint64_t seed = 0;
+         if (!util::parse_u64(v, &seed)) {
+           *why = "expected an unsigned integer";
+           return false;
+         }
+         builder.seed(seed);
+         return true;
+       }},
+      {"--monitor-servers", "", "§6 extension: monitor OSTs as well as clients",
+       [&](const std::string&, std::string*) {
+         builder.monitor_servers(true);
+         return true;
+       }},
+      {"--tune-write-cache", "",
+       "§6 extension: also tune the per-client write-cache size",
+       [&](const std::string&, std::string*) {
+         builder.tune_write_cache(true);
+         return true;
+       }},
+      {"--list-workloads", "", "print the workload registry and exit",
+       [&](const std::string&, std::string*) {
+         list_workloads = true;
+         return true;
+       }},
+  };
+  if (auto rc = util::parse_command_line(argc, argv, "capes_run", flags,
+                                         kEpilogue)) {
+    return *rc;
   }
-  if (args.list_workloads) {
+  if (list_workloads) {
     print_workloads();
     return 0;
   }
 
-  if (args.clusters > 1 && args.workloads.size() > 1) {
+  if (clusters > 1 && workloads.size() > 1) {
     std::fprintf(stderr,
                  "--clusters replicates a single --workload spec; pass either "
                  "--clusters=N or repeated --workload flags, not both\n");
     return 2;
   }
   std::vector<std::string> specs =
-      args.workloads.empty() ? std::vector<std::string>{"random:0.1"}
-                             : args.workloads;
-  if (args.clusters > 1) {
+      workloads.empty() ? std::vector<std::string>{"random:0.1"} : workloads;
+  if (clusters > 1) {
     // Copy before assign: passing specs[0] itself would hand assign() a
     // reference into the container it is rewriting.
     const std::string replicated = specs[0];
-    specs.assign(static_cast<std::size_t>(args.clusters), replicated);
+    specs.assign(static_cast<std::size_t>(clusters), replicated);
   }
-
-  auto builder = core::Experiment::builder()
-                     .workload(specs[0])
-                     .monitor_servers(args.monitor_servers)
-                     .tune_write_cache(args.tune_write_cache)
-                     .train_ticks(args.train_ticks)
-                     .eval_ticks(args.eval_ticks);
+  builder.workload(specs[0]);
   for (std::size_t i = 1; i < specs.size(); ++i) builder.add_cluster(specs[i]);
-  if (args.threads) {
-    builder.worker_threads(static_cast<std::size_t>(*args.threads));
-  }
-  if (args.sim_shards) builder.sim_shards(*args.sim_shards);
-  if (args.shard_plan) builder.shard_plan(*args.shard_plan);
-  if (args.faults) builder.faults(*args.faults);
-  if (args.transport) builder.transport(*args.transport);
-  if (args.learner) builder.learner(*args.learner);
-  if (args.seed) builder.seed(*args.seed);
-  if (!args.capture.empty()) builder.capture(args.capture);
-  if (!args.conf.empty()) builder.config_file(args.conf);
-  if (!args.csv_prefix.empty()) {
+  if (!csv_prefix.empty()) {
     // Like core::csv_phase_sink, but confirming each file on stdout — and
     // only when it was actually written.
-    builder.on_phase_end([&args](const core::PhaseReport& report) {
-      const std::string path =
-          args.csv_prefix + "_" + report.label + ".csv";
+    builder.on_phase_end([&csv_prefix](const core::PhaseReport& report) {
+      const std::string path = csv_prefix + "_" + report.label + ".csv";
       std::ofstream out(path);
       out << core::run_result_csv(report.result);
       if (out) {
@@ -380,12 +293,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  if (!args.model_in.empty()) {
-    if (!experiment->load_model(args.model_in)) {
-      std::fprintf(stderr, "cannot load model %s\n", args.model_in.c_str());
+  if (!model_in.empty()) {
+    if (!experiment->load_model(model_in)) {
+      std::fprintf(stderr, "cannot load model %s\n", model_in.c_str());
       return 1;
     }
-    std::printf("loaded model from %s\n", args.model_in.c_str());
+    std::printf("loaded model from %s\n", model_in.c_str());
   }
 
   const std::int64_t train = experiment->default_train_ticks();
@@ -496,8 +409,10 @@ int main(int argc, char** argv) {
     for (const auto& phase : report.phases) {
       dropped += phase.result.messages_dropped;
     }
-    std::printf("control network (tcp): %llu messages dropped\n",
-                static_cast<unsigned long long>(dropped));
+    const auto* client = experiment->system().brain_client();
+    std::printf("control network (tcp): %llu messages dropped, link %s\n",
+                static_cast<unsigned long long>(dropped),
+                client && client->alive() ? "alive" : "dead");
   }
 
   // Always printed: the determinism handle the capture/replay round trip
@@ -518,8 +433,12 @@ int main(int argc, char** argv) {
                 experiment->preset().capes.capture_path.c_str());
   }
 
-  if (!args.model_out.empty() && experiment->save_model(args.model_out)) {
-    std::printf("model saved to %s\n", args.model_out.c_str());
+  if (!model_out.empty()) {
+    if (!experiment->save_model(model_out)) {
+      std::fprintf(stderr, "cannot save model %s\n", model_out.c_str());
+      return 1;
+    }
+    std::printf("model saved to %s\n", model_out.c_str());
   }
   return 0;
 }

@@ -2,11 +2,12 @@
 # End-to-end smoke of the distributed control plane, run from CTest and
 # every CI leg (including TSan):
 #
-#   check_distributed.sh <capes_daemond> <capes_agentd> <capes_run> <workdir>
+#   check_distributed.sh <capes_daemond> <capes_run> <workdir>
 #
 # 1. Equivalence: launch capes_daemond on an ephemeral loopback port,
-#    drive a short train/baseline/tuned workflow through capes_agentd,
-#    and require the training fingerprint AND the per-phase CSVs to be
+#    drive a short train/baseline/tuned workflow through
+#    `capes_run --transport=tcp:host=127.0.0.1,port=PORT` (the agent
+#    side), and require the training fingerprint AND the per-phase CSVs to be
 #    byte-identical to an in-process `capes_run --transport=sync` run at
 #    the same seed (the tcp: wire must be a transparent brain extension).
 #    Run once on one cluster and once on three (three daemon shards, so
@@ -17,9 +18,8 @@ set -euo pipefail
 
 # Absolute paths: the script cds into the scratch dir before launching.
 DAEMOND="$(readlink -f "$1")"
-AGENTD="$(readlink -f "$2")"
-CAPES_RUN="$(readlink -f "$3")"
-WORK="$4"
+CAPES_RUN="$(readlink -f "$2")"
+WORK="$3"
 
 TICK_ARGS="--train-ticks=40 --eval-ticks=30 --seed=1"
 
@@ -51,8 +51,8 @@ equivalence() {
   PORT=$(wait_for_port "daemon_$tag.log")
 
   # shellcheck disable=SC2086
-  "$AGENTD" --daemon=127.0.0.1:"$PORT" $run_args --csv="tcp_$tag" \
-    | tee "agent_$tag.log"
+  "$CAPES_RUN" --transport=tcp:host=127.0.0.1,port="$PORT" $run_args \
+    --csv="tcp_$tag" | tee "agent_$tag.log"
   wait "$DAEMON_PID"
   cat "daemon_$tag.log"
 
@@ -75,7 +75,7 @@ equivalence() {
       exit 1
     }
   done
-  if ! grep -q "control network (tcp): 0 messages dropped" "agent_$tag.log"; then
+  if ! grep -q "control network (tcp): 0 messages dropped, link alive" "agent_$tag.log"; then
     echo "FAIL ($tag): loopback run reported message loss" >&2
     exit 1
   fi
@@ -88,7 +88,7 @@ echo "== robustness: kill -9 the agent mid-run, daemon must exit =="
 "$DAEMOND" --port=0 --idle-timeout-ms=5000 > daemon_kill.log 2>&1 &
 DAEMON_PID=$!
 PORT=$(wait_for_port daemon_kill.log)
-"$AGENTD" --daemon=127.0.0.1:"$PORT" --workload=random:0.2 \
+"$CAPES_RUN" --transport=tcp:host=127.0.0.1,port="$PORT" --workload=random:0.2 \
   --train-ticks=100000 --eval-ticks=10 --seed=1 > agent_kill.log 2>&1 &
 AGENT_PID=$!
 # Let the session get well into the training phase before the kill.
