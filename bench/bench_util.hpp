@@ -6,12 +6,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "stats/measurement.hpp"
+#include "util/cli.hpp"
 
 namespace capes::benchutil {
 
@@ -68,6 +71,37 @@ inline void print_row(const std::string& label, const stats::MeasurementResult& 
 
 inline double percent_gain(double tuned, double baseline) {
   return baseline <= 0.0 ? 0.0 : (tuned / baseline - 1.0) * 100.0;
+}
+
+/// The flags every ext_* bench takes, for util::parse_command_line:
+/// --ticks=N and --json=FILE, plus --threads=N (>= min_threads) when
+/// `threads` is set.
+inline std::vector<util::Flag> bench_flags(std::int64_t* ticks,
+                                           std::string* json_path,
+                                           std::size_t* threads = nullptr,
+                                           std::int64_t min_threads = 1) {
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<util::Flag> flags = {
+      {"--ticks", "N", "training ticks per measured point",
+       [ticks](const std::string& v, std::string* why) {
+         return util::parse_int_flag(v, 1, kMax, ticks, why);
+       }},
+      {"--json", "FILE", "also write a machine-readable summary to FILE",
+       util::store_to(json_path)},
+  };
+  if (threads != nullptr) {
+    flags.push_back({"--threads", "N", "worker threads in the pool",
+                     [=](const std::string& v, std::string* why) {
+                       std::int64_t n = 0;
+                       if (!util::parse_int_flag(v, min_threads, kMax, &n,
+                                                 why)) {
+                         return false;
+                       }
+                       *threads = static_cast<std::size_t>(n);
+                       return true;
+                     }});
+  }
+  return flags;
 }
 
 }  // namespace capes::benchutil

@@ -24,10 +24,8 @@
 #include "bench_util.hpp"
 #include "capture/wire_log_writer.hpp"
 #include "util/alloc_hook.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
-using util::parse_flag;
 
 namespace {
 
@@ -110,22 +108,13 @@ int main(int argc, char** argv) {
   std::int64_t ticks = 200;
   std::string json_path;
   std::string capture_file = "bench_capture.cap";
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--ticks", &value)) {
-      if (!util::parse_i64(value, &ticks) || ticks <= 0) {
-        std::fprintf(stderr, "--ticks must be a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (parse_flag(argv[i], "--json", &value)) {
-      json_path = value;
-    } else if (parse_flag(argv[i], "--capture-file", &value)) {
-      capture_file = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
+  auto flags = benchutil::bench_flags(&ticks, &json_path);
+  flags.push_back({"--capture-file", "FILE",
+                   "capture file the capture-on runs write",
+                   util::store_to(&capture_file)});
+  if (auto rc = util::parse_command_line(argc, argv, "ext_capture", flags,
+                                         "")) {
+    return *rc;
   }
 
   benchutil::print_header("flight recorder (ticks/sec, capture off vs on)");

@@ -21,10 +21,8 @@
 
 #include "bench_util.hpp"
 #include "util/alloc_hook.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
-using util::parse_flag;
 
 namespace {
 
@@ -93,20 +91,10 @@ double measure_allocs_per_tick(std::int64_t ticks) {
 int main(int argc, char** argv) {
   std::int64_t ticks = 200;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--ticks", &value)) {
-      if (!util::parse_i64(value, &ticks) || ticks <= 0) {
-        std::fprintf(stderr, "--ticks must be a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (parse_flag(argv[i], "--json", &value)) {
-      json_path = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
+  auto flags = benchutil::bench_flags(&ticks, &json_path);
+  if (auto rc = util::parse_command_line(argc, argv, "ext_learner", flags,
+                                         "")) {
+    return *rc;
   }
 
   benchutil::print_header("async learner thread (ticks/sec, training)");

@@ -24,10 +24,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
-using util::parse_flag;
 
 namespace {
 
@@ -92,28 +90,10 @@ int main(int argc, char** argv) {
       std::min<std::size_t>(8, std::thread::hardware_concurrency());
   if (threads == 0) threads = 2;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--ticks", &value)) {
-      if (!util::parse_i64(value, &ticks) || ticks <= 0) {
-        std::fprintf(stderr, "--ticks must be a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (parse_flag(argv[i], "--threads", &value)) {
-      std::int64_t parsed = 0;
-      if (!util::parse_i64(value, &parsed) || parsed <= 0) {
-        std::fprintf(stderr, "--threads must be a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      threads = static_cast<std::size_t>(parsed);
-    } else if (parse_flag(argv[i], "--json", &value)) {
-      json_path = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
+  auto flags = benchutil::bench_flags(&ticks, &json_path, &threads);
+  if (auto rc = util::parse_command_line(argc, argv, "ext_multi_cluster", flags,
+                                         "")) {
+    return *rc;
   }
 
   benchutil::print_header("multi-cluster scaling (ticks/sec, training)");

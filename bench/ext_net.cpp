@@ -24,10 +24,8 @@
 #include "core/remote_brain.hpp"
 #include "net/endpoint.hpp"
 #include "net/socket.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
-using util::parse_flag;
 
 namespace {
 
@@ -122,20 +120,10 @@ Sample measure(bool tcp, std::int64_t ticks) {
 int main(int argc, char** argv) {
   std::int64_t ticks = 400;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--ticks", &value)) {
-      if (!util::parse_i64(value, &ticks) || ticks <= 0) {
-        std::fprintf(stderr, "--ticks must be a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (parse_flag(argv[i], "--json", &value)) {
-      json_path = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
+  auto flags = benchutil::bench_flags(&ticks, &json_path);
+  if (auto rc = util::parse_command_line(argc, argv, "ext_net", flags,
+                                         "")) {
+    return *rc;
   }
 
   benchutil::print_header("distributed control plane overhead (ticks/sec)");

@@ -18,10 +18,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "util/parse.hpp"
 
 using namespace capes;
-using util::parse_flag;
 
 namespace {
 
@@ -72,28 +70,11 @@ int main(int argc, char** argv) {
   std::int64_t ticks = 400;
   std::size_t threads = 0;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag(argv[i], "--ticks", &value)) {
-      if (!util::parse_i64(value, &ticks) || ticks <= 0) {
-        std::fprintf(stderr, "--ticks must be a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (parse_flag(argv[i], "--threads", &value)) {
-      std::int64_t parsed = 0;
-      if (!util::parse_i64(value, &parsed) || parsed < 0) {
-        std::fprintf(stderr, "--threads must be >= 0, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      threads = static_cast<std::size_t>(parsed);
-    } else if (parse_flag(argv[i], "--json", &value)) {
-      json_path = value;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
+  // 0 threads = no worker pool.
+  auto flags = benchutil::bench_flags(&ticks, &json_path, &threads, 0);
+  if (auto rc = util::parse_command_line(argc, argv, "ext_transport", flags,
+                                         "")) {
+    return *rc;
   }
 
   benchutil::print_header("control-network transport overhead (ticks/sec)");

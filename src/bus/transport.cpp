@@ -99,6 +99,28 @@ bool spec_fail(std::string* error, std::string message) {
 
 }  // namespace
 
+const char* transport_scheme_name(TransportKind kind) {
+  switch (kind) {
+    case TransportKind::kSim: return "sim";
+    case TransportKind::kTcp: return "tcp";
+    case TransportKind::kSync: break;
+  }
+  return "sync";
+}
+
+bool parse_transport_scheme(std::string_view text, TransportKind* out,
+                            std::string* error) {
+  for (const TransportKind kind :
+       {TransportKind::kSync, TransportKind::kSim, TransportKind::kTcp}) {
+    if (text == transport_scheme_name(kind)) {
+      *out = kind;
+      return true;
+    }
+  }
+  return spec_fail(error, "unknown transport '" + std::string(text) +
+                              "' (expected sync, sim, or tcp)");
+}
+
 bool parse_transport_spec(std::string_view spec, TransportOptions* out,
                           std::string* error) {
   TransportOptions parsed;
@@ -110,18 +132,9 @@ bool parse_transport_spec(std::string_view spec, TransportOptions* out,
     opts_part = spec.substr(colon + 1);
   }
 
-  if (scheme == "sync") {
-    parsed.kind = TransportKind::kSync;
-    if (colon != std::string_view::npos) {
-      return spec_fail(error, "transport 'sync' takes no options");
-    }
-  } else if (scheme == "sim") {
-    parsed.kind = TransportKind::kSim;
-  } else if (scheme == "tcp") {
-    parsed.kind = TransportKind::kTcp;
-  } else {
-    return spec_fail(error, "unknown transport '" + std::string(scheme) +
-                                "' (expected sync, sim, or tcp)");
+  if (!parse_transport_scheme(scheme, &parsed.kind, error)) return false;
+  if (parsed.kind == TransportKind::kSync && colon != std::string_view::npos) {
+    return spec_fail(error, "transport 'sync' takes no options");
   }
 
   bool saw_host = false;
@@ -216,14 +229,15 @@ bool parse_transport_spec(std::string_view spec, TransportOptions* out,
 }
 
 std::string transport_spec_string(const TransportOptions& opts) {
-  if (opts.kind == TransportKind::kSync) return "sync";
+  std::string spec = transport_scheme_name(opts.kind);
+  if (opts.kind == TransportKind::kSync) return spec;
   if (opts.kind == TransportKind::kTcp) {
-    return "tcp:host=" + opts.tcp_host + ",port=" +
+    return spec + ":host=" + opts.tcp_host + ",port=" +
            std::to_string(opts.tcp_port) +
            ",connect_timeout_ms=" + std::to_string(opts.connect_timeout_ms) +
            ",io_threads=" + std::to_string(opts.io_threads);
   }
-  std::string spec = "sim:latency_ticks=" + std::to_string(opts.latency_ticks);
+  spec += ":latency_ticks=" + std::to_string(opts.latency_ticks);
   // %.17g is the shortest printf precision that reproduces any double
   // exactly, keeping the documented round-trip value-lossless.
   char buffer[96];

@@ -42,6 +42,13 @@ struct Delivery {
 
 enum class TransportKind { kSync, kSim, kTcp };
 
+/// The scheme's one spelling ("sync", "sim" or "tcp"), shared by spec
+/// strings, the capes.transport conf key and Transport::name().
+const char* transport_scheme_name(TransportKind kind);
+/// Parse a bare scheme name; false (with *error, if non-null) otherwise.
+bool parse_transport_scheme(std::string_view text, TransportKind* out,
+                            std::string* error = nullptr);
+
 /// Parsed form of a transport spec. The CLI / config grammar:
 ///   sync
 ///   sim[:latency_ticks=N,jitter=X,drop=P,seed=N]
@@ -86,8 +93,9 @@ class Transport {
   virtual Delivery plan(std::uint64_t topic, std::uint64_t sender,
                         std::int64_t send_tick) const = 0;
 
-  /// "sync", "sim", or "tcp" (the spec scheme).
-  virtual const char* name() const = 0;
+  virtual TransportKind kind() const = 0;
+  /// The spec scheme: transport_scheme_name(kind()).
+  const char* name() const { return transport_scheme_name(kind()); }
 };
 
 /// Immediate delivery: deliver_tick == send_tick, nothing dropped.
@@ -95,7 +103,7 @@ class SyncTransport final : public Transport {
  public:
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return "sync"; }
+  TransportKind kind() const override { return TransportKind::kSync; }
 };
 
 /// Seeded latency / jitter / drop model (see TransportOptions fields).
@@ -105,7 +113,7 @@ class SimTransport final : public Transport {
 
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return "sim"; }
+  TransportKind kind() const override { return TransportKind::kSim; }
 
   const TransportOptions& options() const { return opts_; }
 
@@ -124,7 +132,7 @@ class TcpTransport final : public Transport {
 
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return "tcp"; }
+  TransportKind kind() const override { return TransportKind::kTcp; }
 
   const TransportOptions& options() const { return opts_; }
 
@@ -138,7 +146,7 @@ class TcpTransport final : public Transport {
 /// latency / jitter / drop fates. The predicate must satisfy the same
 /// contract as plan() itself: pure per (topic, sender, send_tick) and
 /// safe to call from concurrent worker threads (the fault predicates in
-/// sim/fault.hpp are pure hashes, so they qualify). name() forwards to
+/// sim/fault.hpp are pure hashes, so they qualify). kind() forwards to
 /// the inner transport: the wrapper changes fates, not the scheme.
 class FaultingTransport final : public Transport {
  public:
@@ -149,7 +157,7 @@ class FaultingTransport final : public Transport {
 
   Delivery plan(std::uint64_t topic, std::uint64_t sender,
                 std::int64_t send_tick) const override;
-  const char* name() const override { return inner_->name(); }
+  TransportKind kind() const override { return inner_->kind(); }
 
   Transport& inner() { return *inner_; }
 

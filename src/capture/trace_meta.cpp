@@ -1,46 +1,95 @@
 #include "capture/trace_meta.hpp"
 
+#include <tuple>
+#include <type_traits>
+
 #include "util/serialize.hpp"
 
 namespace capes::capture {
 
 namespace {
+
 constexpr std::uint32_t kMetaMagic = 0x4d545043u;  // "CPTM"
 constexpr std::uint32_t kMetaVersion = 1;
+
+/// Every serialized field in wire order: encode() and decode() walk this
+/// one list, so they cannot disagree.
+template <class Meta, class Visit>
+void for_each_field(Meta& m, Visit visit) {
+  std::apply([&](auto&... field) { (visit(field), ...); },
+             std::tie(m.num_domains, m.num_nodes, m.pis_per_node,
+                      m.num_actions, m.sampling_tick_s, m.engine_seed,
+                      m.dqn_seed, m.use_double_dqn, m.use_target_network,
+                      m.loss_kind, m.activation, m.num_hidden_layers,
+                      m.hidden_size, m.gamma, m.learning_rate,
+                      m.target_update_alpha, m.minibatch_size,
+                      m.train_steps_per_tick, m.eval_epsilon,
+                      m.epsilon_initial, m.epsilon_final,
+                      m.epsilon_anneal_ticks, m.epsilon_bump_value,
+                      m.epsilon_bump_ticks, m.ticks_per_observation,
+                      m.missing_tolerance, m.max_ticks_retained,
+                      m.initial_weights_fingerprint));
+}
+
 }  // namespace
+
+bool TraceMeta::check(std::string* error) const {
+  if (num_nodes == 0 || pis_per_node == 0 || num_actions == 0) {
+    *error = "describes an empty topology";
+    return false;
+  }
+  // An upper-bound estimate in 64-bit arithmetic; any overflow counts as
+  // over the ceiling rather than wrapping back under it.
+  bool overflow = false;
+  auto mul = [&overflow](std::uint64_t a, std::uint64_t b) {
+    std::uint64_t r = 0;
+    overflow |= __builtin_mul_overflow(a, b, &r);
+    return r;
+  };
+  auto add = [&overflow](std::uint64_t a, std::uint64_t b) {
+    std::uint64_t r = 0;
+    overflow |= __builtin_add_overflow(a, b, &r);
+    return r;
+  };
+  const std::uint64_t in =
+      mul(mul(num_nodes, pis_per_node), ticks_per_observation);
+  const std::uint64_t width = hidden_size == 0 ? in : hidden_size;
+  // Weights + biases of in -> width (x num_hidden_layers) -> actions.
+  const std::uint64_t params =
+      add(add(mul(add(in, 1), width),
+              mul(num_hidden_layers, mul(add(width, 1), width))),
+          mul(add(width, 1), num_actions));
+  const std::uint64_t activations = mul(
+      minibatch_size, add(add(in, mul(num_hidden_layers, width)), num_actions));
+  const std::uint64_t floats = add(mul(5, params), mul(4, activations));
+  if (overflow || floats > kMaxBrainFloats) {
+    *error = "sizes a brain above the limit of " +
+             std::to_string(kMaxBrainFloats) + " floats";
+    return false;
+  }
+  return true;
+}
 
 std::vector<std::uint8_t> TraceMeta::encode() const {
   util::BinaryWriter w;
   w.put_u32(kMetaMagic);
   w.put_u32(kMetaVersion);
-  w.put_u32(num_domains);
-  w.put_u32(num_nodes);
-  w.put_u32(pis_per_node);
-  w.put_u32(num_actions);
-  w.put_f64(sampling_tick_s);
-  w.put_u64(engine_seed);
-  w.put_u64(dqn_seed);
-  w.put_u8(use_double_dqn ? 1 : 0);
-  w.put_u8(use_target_network ? 1 : 0);
-  w.put_u8(loss_kind);
-  w.put_u8(activation);
-  w.put_u32(num_hidden_layers);
-  w.put_u32(hidden_size);
-  w.put_f32(gamma);
-  w.put_f32(learning_rate);
-  w.put_f32(target_update_alpha);
-  w.put_u32(minibatch_size);
-  w.put_u32(train_steps_per_tick);
-  w.put_f64(eval_epsilon);
-  w.put_f64(epsilon_initial);
-  w.put_f64(epsilon_final);
-  w.put_i64(epsilon_anneal_ticks);
-  w.put_f64(epsilon_bump_value);
-  w.put_i64(epsilon_bump_ticks);
-  w.put_u32(ticks_per_observation);
-  w.put_f64(missing_tolerance);
-  w.put_u64(max_ticks_retained);
-  w.put_u32(initial_weights_fingerprint);
+  for_each_field(*this, [&w](const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t>) {
+      w.put_u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      w.put_u32(v);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      w.put_u64(v);
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      w.put_i64(v);
+    } else if constexpr (std::is_same_v<T, float>) {
+      w.put_f32(v);
+    } else {
+      w.put_f64(v);
+    }
+  });
   return w.take();
 }
 
@@ -53,54 +102,27 @@ std::optional<TraceMeta> TraceMeta::decode(
     return std::nullopt;
   }
   TraceMeta m;
-  auto u32 = [&r](std::uint32_t* out) {
-    const auto v = r.get_u32();
-    if (v) *out = *v;
-    return v.has_value();
-  };
-  auto u64 = [&r](std::uint64_t* out) {
-    const auto v = r.get_u64();
-    if (v) *out = *v;
-    return v.has_value();
-  };
-  auto i64 = [&r](std::int64_t* out) {
-    const auto v = r.get_i64();
-    if (v) *out = *v;
-    return v.has_value();
-  };
-  auto f32 = [&r](float* out) {
-    const auto v = r.get_f32();
-    if (v) *out = *v;
-    return v.has_value();
-  };
-  auto f64 = [&r](double* out) {
-    const auto v = r.get_f64();
-    if (v) *out = *v;
-    return v.has_value();
-  };
-  auto boolean = [&r](bool* out) {
-    const auto v = r.get_u8();
-    if (v) *out = *v != 0;
-    return v.has_value();
-  };
-  auto u8 = [&r](std::uint8_t* out) {
-    const auto v = r.get_u8();
-    if (v) *out = *v;
-    return v.has_value();
-  };
-  const bool ok =
-      u32(&m.num_domains) && u32(&m.num_nodes) && u32(&m.pis_per_node) &&
-      u32(&m.num_actions) && f64(&m.sampling_tick_s) && u64(&m.engine_seed) &&
-      u64(&m.dqn_seed) && boolean(&m.use_double_dqn) &&
-      boolean(&m.use_target_network) && u8(&m.loss_kind) && u8(&m.activation) &&
-      u32(&m.num_hidden_layers) && u32(&m.hidden_size) && f32(&m.gamma) &&
-      f32(&m.learning_rate) && f32(&m.target_update_alpha) &&
-      u32(&m.minibatch_size) && u32(&m.train_steps_per_tick) &&
-      f64(&m.eval_epsilon) && f64(&m.epsilon_initial) && f64(&m.epsilon_final) &&
-      i64(&m.epsilon_anneal_ticks) && f64(&m.epsilon_bump_value) &&
-      i64(&m.epsilon_bump_ticks) && u32(&m.ticks_per_observation) &&
-      f64(&m.missing_tolerance) && u64(&m.max_ticks_retained) &&
-      u32(&m.initial_weights_fingerprint);
+  bool ok = true;
+  for_each_field(m, [&](auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
+    const auto got = [&r] {
+      if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t>) {
+        return r.get_u8();
+      } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+        return r.get_u32();
+      } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        return r.get_u64();
+      } else if constexpr (std::is_same_v<T, std::int64_t>) {
+        return r.get_i64();
+      } else if constexpr (std::is_same_v<T, float>) {
+        return r.get_f32();
+      } else {
+        return r.get_f64();
+      }
+    }();
+    if (got) v = static_cast<T>(*got);
+    ok = ok && got.has_value();
+  });
   if (!ok) return std::nullopt;
   return m;
 }

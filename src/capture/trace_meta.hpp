@@ -6,12 +6,13 @@
 //
 // This is a dedicated binary section rather than a conf-key dump on
 // purpose: several fields that bit-identical replay depends on (the
-// engine and DQN seeds, double-DQN, the epsilon bump schedule, replay
-// retention) have no conf key today, and the meta must never silently
+// engine and DQN seeds, double-DQN, the loss and activation, how long an
+// epsilon bump lasts) have no conf key, and the meta must never silently
 // lose one of them.
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace capes::capture {
@@ -55,6 +56,17 @@ struct TraceMeta {
   /// state (e.g. the live run restored a learner checkpoint first) —
   /// the round-trip guarantee does not hold and tools should warn.
   std::uint32_t initial_weights_fingerprint = 0;
+
+  /// Ceiling on the floats a meta's brain may need (4 GiB): far above a
+  /// 128-domain fast preset (~23M), far below what a forged meta could
+  /// make a receiver allocate.
+  static constexpr std::uint64_t kMaxBrainFloats = std::uint64_t{1} << 30;
+
+  /// Run before building a brain from the meta (replayer, brain service):
+  /// false + *error unless the topology is non-empty and the brain's
+  /// floats (weights x5 for online, target, gradient and two Adam
+  /// moments, plus a minibatch's activations x4) fit kMaxBrainFloats.
+  bool check(std::string* error) const;
 
   std::vector<std::uint8_t> encode() const;
   /// nullopt on a bad magic/version or a truncated blob.

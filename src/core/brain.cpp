@@ -1,5 +1,7 @@
 #include "core/brain.hpp"
 
+#include <type_traits>
+
 #include "core/capes_system.hpp"
 #include "util/alloc_hook.hpp"
 #include "waldb/database.hpp"
@@ -8,33 +10,62 @@ namespace capes::core {
 
 namespace {
 
-/// The live run's engine configuration, rebuilt from its meta: always the
-/// sync learner (bit-identical weights by the engine's sync==async
-/// guarantee) with checkpointing off.
-DrlEngineOptions engine_options_from_meta(const capture::TraceMeta& m) {
-  DrlEngineOptions e;
-  e.dqn.num_actions = m.num_actions;
-  e.dqn.num_hidden_layers = m.num_hidden_layers;
-  e.dqn.hidden_size = m.hidden_size;
-  e.dqn.gamma = m.gamma;
-  e.dqn.learning_rate = m.learning_rate;
-  e.dqn.target_update_alpha = m.target_update_alpha;
-  e.dqn.loss = static_cast<rl::LossKind>(m.loss_kind);
-  e.dqn.use_target_network = m.use_target_network;
-  e.dqn.use_double_dqn = m.use_double_dqn;
-  e.dqn.activation = static_cast<nn::Activation>(m.activation);
-  e.epsilon.initial = m.epsilon_initial;
-  e.epsilon.final_value = m.epsilon_final;
-  e.epsilon.anneal_ticks = m.epsilon_anneal_ticks;
-  e.epsilon.bump_value = m.epsilon_bump_value;
-  e.epsilon.bump_ticks = m.epsilon_bump_ticks;
-  e.minibatch_size = m.minibatch_size;
-  e.train_steps_per_tick = m.train_steps_per_tick;
-  e.eval_epsilon = m.eval_epsilon;
-  return e;
+/// The TraceMeta fields that record a CapesOptions member, as (meta
+/// field, options member) pairs: trace_meta_from() and traced_options()
+/// walk this one list in opposite directions.
+template <class Meta, class Options, class Visit>
+void for_each_traced(Meta& m, Options& o, Visit visit) {
+  auto& e = o.engine;
+  visit(m.num_nodes, o.replay.num_nodes);
+  visit(m.pis_per_node, o.replay.pis_per_node);
+  visit(m.sampling_tick_s, o.sampling_tick_s);
+  visit(m.engine_seed, e.seed);
+  visit(m.dqn_seed, e.dqn.seed);
+  visit(m.use_double_dqn, e.dqn.use_double_dqn);
+  visit(m.use_target_network, e.dqn.use_target_network);
+  visit(m.loss_kind, e.dqn.loss);
+  visit(m.activation, e.dqn.activation);
+  visit(m.num_hidden_layers, e.dqn.num_hidden_layers);
+  visit(m.hidden_size, e.dqn.hidden_size);
+  visit(m.gamma, e.dqn.gamma);
+  visit(m.learning_rate, e.dqn.learning_rate);
+  visit(m.target_update_alpha, e.dqn.target_update_alpha);
+  visit(m.minibatch_size, e.minibatch_size);
+  visit(m.train_steps_per_tick, e.train_steps_per_tick);
+  visit(m.eval_epsilon, e.eval_epsilon);
+  visit(m.epsilon_initial, e.epsilon.initial);
+  visit(m.epsilon_final, e.epsilon.final_value);
+  visit(m.epsilon_anneal_ticks, e.epsilon.anneal_ticks);
+  visit(m.epsilon_bump_value, e.epsilon.bump_value);
+  visit(m.epsilon_bump_ticks, e.epsilon.bump_ticks);
+  visit(m.ticks_per_observation, o.replay.ticks_per_observation);
+  visit(m.missing_tolerance, o.replay.missing_tolerance);
+  visit(m.max_ticks_retained, o.replay.max_ticks_retained);
 }
 
 }  // namespace
+
+capture::TraceMeta trace_meta_from(const CapesOptions& opts,
+                                   std::size_t num_domains,
+                                   std::size_t num_actions,
+                                   std::uint32_t weights_fingerprint) {
+  capture::TraceMeta meta;
+  for_each_traced(meta, opts, [](auto& to, const auto& from) {
+    to = static_cast<std::remove_reference_t<decltype(to)>>(from);
+  });
+  meta.num_domains = static_cast<std::uint32_t>(num_domains);
+  meta.num_actions = static_cast<std::uint32_t>(num_actions);
+  meta.initial_weights_fingerprint = weights_fingerprint;
+  return meta;
+}
+
+CapesOptions traced_options(const capture::TraceMeta& meta) {
+  CapesOptions o;
+  for_each_traced(meta, o, [](const auto& from, auto& to) {
+    to = static_cast<std::remove_reference_t<decltype(to)>>(from);
+  });
+  return o;
+}
 
 Brain::Brain(const rl::ReplayDbOptions& replay, const DrlEngineOptions& engine,
              const std::string& replay_db_dir,
@@ -59,25 +90,19 @@ Brain::Brain(const rl::ReplayDbOptions& replay, const DrlEngineOptions& engine,
 
 Brain::Brain(const capture::TraceMeta& meta, std::vector<ShardLayout> shards,
              const CapesOptions* overlay) {
-  rl::ReplayDbOptions replay_opts;
+  const CapesOptions opts =
+      overlay != nullptr ? *overlay : traced_options(meta);
+  // Topology and both seeds always come from the meta, overlay or not: a
+  // diff should isolate the hyperparameter change, not add seed noise.
+  // The sync learner trains bit-identical weights to the async one, and a
+  // replay never checkpoints.
+  rl::ReplayDbOptions replay_opts = opts.replay;
   replay_opts.num_nodes = meta.num_nodes;
   replay_opts.pis_per_node = meta.pis_per_node;
-  replay_opts.ticks_per_observation = meta.ticks_per_observation;
-  replay_opts.missing_tolerance = meta.missing_tolerance;
-  replay_opts.max_ticks_retained = meta.max_ticks_retained;
-  DrlEngineOptions engine_opts = engine_options_from_meta(meta);
-  if (overlay != nullptr) {
-    engine_opts = overlay->engine;
-    engine_opts.dqn.num_actions = meta.num_actions;  // topology is traced
-    engine_opts.learner_mode = LearnerMode::kSync;
-    engine_opts.checkpoint_ticks = 0;
-    replay_opts.ticks_per_observation = overlay->replay.ticks_per_observation;
-    replay_opts.missing_tolerance = overlay->replay.missing_tolerance;
-    replay_opts.max_ticks_retained = overlay->replay.max_ticks_retained;
-  }
-  // Seeds always come from the meta, overlay or not: a diff should isolate
-  // the hyperparameter change, not add seed noise (and the conf scheme has
-  // no seed keys anyway — seeds flow through --seed presets).
+  DrlEngineOptions engine_opts = opts.engine;
+  engine_opts.dqn.num_actions = meta.num_actions;
+  engine_opts.learner_mode = LearnerMode::kSync;
+  engine_opts.checkpoint_ticks = 0;
   engine_opts.seed = meta.engine_seed;
   engine_opts.dqn.seed = meta.dqn_seed;
 

@@ -101,6 +101,20 @@ class BrainLink {
   virtual std::uint64_t hot_path_allocations() const = 0;
 };
 
+/// The meta a capture or Hello carries: `opts`' engine and replay
+/// options plus the topology. The fingerprint is the online network's at
+/// capture start (after any checkpoint restore), so a replay from fresh
+/// weights can detect a live run that resumed mid-training.
+capture::TraceMeta trace_meta_from(const CapesOptions& opts,
+                                   std::size_t num_domains,
+                                   std::size_t num_actions,
+                                   std::uint32_t weights_fingerprint);
+
+/// The inverse: the engine and replay options a TraceMeta records
+/// (everything else defaults) — the live run's configuration as a
+/// replay rebuilds it.
+CapesOptions traced_options(const capture::TraceMeta& meta);
+
 class Brain final : public BrainLink {
  public:
   /// In-process brain over live domains (which must outlive it). A
@@ -114,8 +128,9 @@ class Brain final : public BrainLink {
   /// The brain a TraceMeta describes (a capture's leading record, or the
   /// Hello of a remote session): sync learner, checkpointing off, both
   /// seeds from the meta. `shards` lays out the daemon's action slices
-  /// (empty: status ingest only). `overlay` (nullable) swaps in its engine
-  /// and replay hyperparameters, never the topology or seeds.
+  /// (empty: status ingest only). `overlay` (nullable) replaces
+  /// traced_options(meta): its engine and replay hyperparameters apply,
+  /// never the topology or seeds.
   Brain(const capture::TraceMeta& meta, std::vector<ShardLayout> shards,
         const CapesOptions* overlay = nullptr);
 

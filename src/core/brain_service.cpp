@@ -12,14 +12,18 @@ namespace capes::core {
 
 namespace {
 
-/// A Hello the Brain can be built from: a non-empty topology whose domain
-/// action slices tile the composite action space contiguously from 1 —
-/// the layout CapesSystem builds — so every suggestion routes in-slice.
+/// A Hello the Brain can be built from: a meta that passes
+/// TraceMeta::check, and domain action slices that tile the composite
+/// action space contiguously from 1 — the layout CapesSystem builds — so
+/// every suggestion routes in-slice.
 bool validate_hello(const HelloPayload& hello, std::string* error) {
   const capture::TraceMeta& meta = hello.meta;
-  if (meta.num_nodes == 0 || meta.pis_per_node == 0 || meta.num_actions == 0 ||
-      hello.domains.empty()) {
-    *error = "Hello describes an empty topology";
+  if (!meta.check(error)) {
+    *error = "Hello meta " + *error;
+    return false;
+  }
+  if (hello.domains.empty()) {
+    *error = "Hello describes no domains";
     return false;
   }
   std::uint64_t next_offset = 1;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "capture/trace_meta.hpp"
 #include "core/brain.hpp"
 #include "core/remote_brain.hpp"
 #include "stats/changepoint.hpp"
@@ -14,53 +13,6 @@
 #include "util/thread_pool.hpp"
 
 namespace capes::core {
-
-namespace {
-
-/// Everything a replayer needs to rebuild a bit-identical Replay DB + DRL
-/// Engine, snapshotted at capture start. The fingerprint is taken after
-/// any checkpoint restore, so a replay from fresh weights can detect (and
-/// warn about) a live run that resumed mid-training.
-capture::TraceMeta trace_meta_from(const CapesOptions& opts,
-                                   std::size_t num_domains,
-                                   std::size_t num_actions,
-                                   std::uint32_t weights_fingerprint) {
-  capture::TraceMeta meta;
-  meta.num_domains = static_cast<std::uint32_t>(num_domains);
-  meta.num_nodes = static_cast<std::uint32_t>(opts.replay.num_nodes);
-  meta.pis_per_node = static_cast<std::uint32_t>(opts.replay.pis_per_node);
-  meta.num_actions = static_cast<std::uint32_t>(num_actions);
-  meta.sampling_tick_s = opts.sampling_tick_s;
-  meta.engine_seed = opts.engine.seed;
-  meta.dqn_seed = opts.engine.dqn.seed;
-  meta.use_double_dqn = opts.engine.dqn.use_double_dqn;
-  meta.use_target_network = opts.engine.dqn.use_target_network;
-  meta.loss_kind = static_cast<std::uint8_t>(opts.engine.dqn.loss);
-  meta.activation = static_cast<std::uint8_t>(opts.engine.dqn.activation);
-  meta.num_hidden_layers =
-      static_cast<std::uint32_t>(opts.engine.dqn.num_hidden_layers);
-  meta.hidden_size = static_cast<std::uint32_t>(opts.engine.dqn.hidden_size);
-  meta.gamma = opts.engine.dqn.gamma;
-  meta.learning_rate = opts.engine.dqn.learning_rate;
-  meta.target_update_alpha = opts.engine.dqn.target_update_alpha;
-  meta.minibatch_size = static_cast<std::uint32_t>(opts.engine.minibatch_size);
-  meta.train_steps_per_tick =
-      static_cast<std::uint32_t>(opts.engine.train_steps_per_tick);
-  meta.eval_epsilon = opts.engine.eval_epsilon;
-  meta.epsilon_initial = opts.engine.epsilon.initial;
-  meta.epsilon_final = opts.engine.epsilon.final_value;
-  meta.epsilon_anneal_ticks = opts.engine.epsilon.anneal_ticks;
-  meta.epsilon_bump_value = opts.engine.epsilon.bump_value;
-  meta.epsilon_bump_ticks = opts.engine.epsilon.bump_ticks;
-  meta.ticks_per_observation =
-      static_cast<std::uint32_t>(opts.replay.ticks_per_observation);
-  meta.missing_tolerance = opts.replay.missing_tolerance;
-  meta.max_ticks_retained = opts.replay.max_ticks_retained;
-  meta.initial_weights_fingerprint = weights_fingerprint;
-  return meta;
-}
-
-}  // namespace
 
 const char* phase_name(RunPhase phase) {
   switch (phase) {

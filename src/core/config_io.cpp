@@ -1,291 +1,292 @@
 #include "core/config_io.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <type_traits>
+#include <variant>
+
+#include "util/parse.hpp"
 
 namespace capes::core {
 
-CapesOptions capes_options_from_config(const util::Config& cfg,
-                                       CapesOptions base) {
-  CapesOptions o = base;
-  o.sampling_tick_s = cfg.get_double("capes.sampling_tick_s", o.sampling_tick_s);
-  o.reward_scale_mbs = cfg.get_double("capes.reward_scale_mbs", o.reward_scale_mbs);
-  o.replay_db_dir = cfg.get("capes.replay_db_dir", o.replay_db_dir);
-  // Flight recorder: a capture file path turns recording on; the ring
-  // size bounds how far the file sink may fall behind before records are
-  // shed (counted, never blocking the control thread).
-  o.capture_path = cfg.get("capes.capture.path", o.capture_path);
-  o.capture_ring = static_cast<std::size_t>(std::max<std::int64_t>(
-      2, cfg.get_int("capes.capture.ring",
-                     static_cast<std::int64_t>(o.capture_ring))));
-  // Clamp negatives to "no pool" rather than wrapping through size_t.
-  o.worker_threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, cfg.get_int("capes.worker_threads",
-                     static_cast<std::int64_t>(o.worker_threads))));
-  // Simulator event-loop sharding: "auto" (or 0) = one event queue per
-  // control domain; N >= 1 caps the queue count (1 = the serial loop).
-  // Negatives clamp to the serial loop, like every other overlay key.
-  if (const auto shards = cfg.get("capes.sim.shards")) {
-    if (*shards == "auto") {
-      o.sim_shards = 0;
-    } else {
-      const std::int64_t n = cfg.get_int(
-          "capes.sim.shards", static_cast<std::int64_t>(o.sim_shards));
-      o.sim_shards = n < 0 ? 1 : static_cast<std::size_t>(n);
-    }
-  }
-  // Domain-to-shard placement: "static" round-robin or "rate" (re-pack by
-  // observed event rate at phase boundaries). Unknown values keep the
-  // base, overlay-style; the builder's config_file path validates first.
-  const std::string plan = cfg.get("capes.sim.shard_plan",
-                                   sim::shard_plan_name(o.shard_plan));
-  o.shard_plan = plan == "rate" ? sim::ShardPlanKind::kRate
-                                : sim::ShardPlanKind::kStatic;
+namespace {
 
-  // Control-network transport. "capes.transport" names the scheme; the
-  // sim knobs mirror the CLI spec options. Out-of-range values clamp to
-  // the nearest valid one (config files are overlays, not validators —
-  // the CLI/spec path rejects instead).
-  const std::string scheme =
-      cfg.get("capes.transport",
-              o.transport.kind == bus::TransportKind::kSim   ? "sim"
-              : o.transport.kind == bus::TransportKind::kTcp ? "tcp"
-                                                             : "sync");
-  o.transport.kind = scheme == "sim"   ? bus::TransportKind::kSim
-                     : scheme == "tcp" ? bus::TransportKind::kTcp
-                                       : bus::TransportKind::kSync;
-  o.transport.latency_ticks = std::max<std::int64_t>(
-      0, cfg.get_int("capes.transport.latency_ticks", o.transport.latency_ticks));
-  o.transport.jitter =
-      std::max(0.0, cfg.get_double("capes.transport.jitter", o.transport.jitter));
-  o.transport.drop = std::clamp(
-      cfg.get_double("capes.transport.drop", o.transport.drop), 0.0, 0.999);
-  if (cfg.has("capes.transport.seed")) {
-    o.transport.seed = static_cast<std::uint64_t>(
-        cfg.get_int("capes.transport.seed",
-                    static_cast<std::int64_t>(o.transport.seed)));
-    o.transport.seed_explicit = true;
-  }
-  // The tcp endpoint: where capes_daemond listens. The port clamps into
-  // the valid range like the other numeric overlays; the strict
-  // CLI/spec path rejects instead.
-  o.transport.tcp_host = cfg.get("capes.transport.tcp.host", o.transport.tcp_host);
-  o.transport.tcp_port = std::clamp<std::int64_t>(
-      cfg.get_int("capes.transport.tcp.port", o.transport.tcp_port), 0, 65535);
-  o.transport.connect_timeout_ms = std::max<std::int64_t>(
-      0, cfg.get_int("capes.transport.tcp.connect_timeout_ms",
-                     o.transport.connect_timeout_ms));
-  o.transport.io_threads = std::clamp<std::int64_t>(
-      cfg.get_int("capes.transport.tcp.io_threads", o.transport.io_threads), 1,
-      64);
+/// The options one conf file sets.
+struct Options {
+  CapesOptions& capes;
+  lustre::ClusterOptions& cluster;
+};
 
-  // Deterministic fault injection. Rates clamp into [0, 0.999] and
-  // windows to >= 1 like the other numeric overlays (the --faults= spec
-  // path rejects instead); slow_factor clamps to >= 1 so a typo can
-  // never make a straggler faster than healthy.
-  auto& f = o.faults;
-  f.ost_crash = std::clamp(
-      cfg.get_double("capes.sim.faults.ost_crash", f.ost_crash), 0.0, 0.999);
-  f.restart_ticks = std::max<std::int64_t>(
-      1, cfg.get_int("capes.sim.faults.restart_ticks", f.restart_ticks));
-  f.straggler = std::clamp(
-      cfg.get_double("capes.sim.faults.straggler", f.straggler), 0.0, 0.999);
-  f.slow_factor = std::max(
-      1.0, cfg.get_double("capes.sim.faults.slow_factor", f.slow_factor));
-  f.straggler_ticks = std::max<std::int64_t>(
-      1, cfg.get_int("capes.sim.faults.straggler_ticks", f.straggler_ticks));
-  f.partition = std::clamp(
-      cfg.get_double("capes.sim.faults.partition", f.partition), 0.0, 0.999);
-  f.partition_ticks = std::max<std::int64_t>(
-      1, cfg.get_int("capes.sim.faults.partition_ticks", f.partition_ticks));
-  if (cfg.has("capes.sim.faults.seed")) {
-    f.seed = static_cast<std::uint64_t>(cfg.get_int(
-        "capes.sim.faults.seed", static_cast<std::int64_t>(f.seed)));
-    f.seed_explicit = true;
-  }
+/// A 64-bit seed. Transport and fault seeds derive from the engine seed
+/// until a key pins them; only a pinned seed is written back (`pinned`
+/// is their seed_explicit member, null for a seed that is always set).
+struct Seed {
+  std::uint64_t* value;
+  bool* pinned;
+};
 
-  auto& e = o.engine;
-  // Learner mode reads like the transport scheme: config files are
-  // overlays, so an unknown value keeps the base rather than failing
-  // here — the CLI/builder path validates strictly instead.
-  const std::string learner_mode = cfg.get(
-      "capes.learner.mode",
-      e.learner_mode == LearnerMode::kAsync ? "async" : "sync");
-  e.learner_mode =
-      learner_mode == "async" ? LearnerMode::kAsync : LearnerMode::kSync;
-  e.checkpoint_ticks = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, cfg.get_int("capes.learner.checkpoint_ticks",
-                     static_cast<std::int64_t>(e.checkpoint_ticks))));
-  e.minibatch_size = static_cast<std::size_t>(
-      cfg.get_int("drl.minibatch_size", static_cast<std::int64_t>(e.minibatch_size)));
-  e.train_steps_per_tick = static_cast<std::size_t>(cfg.get_int(
-      "drl.train_steps_per_tick", static_cast<std::int64_t>(e.train_steps_per_tick)));
-  e.eval_epsilon = cfg.get_double("drl.eval_epsilon", e.eval_epsilon);
-  e.dqn.gamma = static_cast<float>(cfg.get_double("drl.gamma", e.dqn.gamma));
-  e.dqn.learning_rate =
-      static_cast<float>(cfg.get_double("drl.learning_rate", e.dqn.learning_rate));
-  e.dqn.target_update_alpha = static_cast<float>(
-      cfg.get_double("drl.target_update_alpha", e.dqn.target_update_alpha));
-  e.dqn.num_hidden_layers = static_cast<std::size_t>(cfg.get_int(
-      "drl.num_hidden_layers", static_cast<std::int64_t>(e.dqn.num_hidden_layers)));
-  e.dqn.hidden_size = static_cast<std::size_t>(
-      cfg.get_int("drl.hidden_size", static_cast<std::int64_t>(e.dqn.hidden_size)));
-  e.dqn.use_target_network =
-      cfg.get_bool("drl.use_target_network", e.dqn.use_target_network);
-  e.epsilon.initial = cfg.get_double("drl.epsilon_initial", e.epsilon.initial);
-  e.epsilon.final_value = cfg.get_double("drl.epsilon_final", e.epsilon.final_value);
-  e.epsilon.anneal_ticks =
-      cfg.get_int("drl.epsilon_anneal_ticks", e.epsilon.anneal_ticks);
-  e.epsilon.bump_value = cfg.get_double("drl.epsilon_bump", e.epsilon.bump_value);
+/// capes.sim.shards: "auto" (0) = one event queue per control domain.
+struct Shards {
+  std::size_t* value;
+};
 
-  auto& r = o.replay;
-  r.ticks_per_observation = static_cast<std::size_t>(cfg.get_int(
-      "replay.ticks_per_observation",
-      static_cast<std::int64_t>(r.ticks_per_observation)));
-  r.missing_tolerance =
-      cfg.get_double("replay.missing_tolerance", r.missing_tolerance);
-  r.max_ticks_retained = static_cast<std::size_t>(cfg.get_int(
-      "replay.max_ticks_retained", static_cast<std::int64_t>(r.max_ticks_retained)));
-  return o;
+/// The member a key sets. Its type picks the parser and the writer.
+using Member =
+    std::variant<std::string*, bool*, double*, float*, std::int64_t*,
+                 std::size_t*, Seed, Shards, bus::TransportKind*,
+                 LearnerMode*, sim::ShardPlanKind*>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct ConfKey {
+  const char* key;
+  Member (*member)(Options&);
+  /// Numbers clamp into [lo, hi]; unsigned ones also to >= 0.
+  double lo = -kInf;
+  double hi = kInf;
+  /// When config_from_options() writes the key; null = always.
+  bool (*written)(const CapesOptions&) = nullptr;
+};
+
+bool reject(std::string* why, const char* expected, const std::string& v) {
+  *why = std::string("expected ") + expected + ", got '" + v + "'";
+  return false;
 }
 
-lustre::ClusterOptions cluster_options_from_config(const util::Config& cfg,
-                                                   lustre::ClusterOptions base) {
-  lustre::ClusterOptions o = base;
-  o.num_clients = static_cast<std::size_t>(
-      cfg.get_int("lustre.num_clients", static_cast<std::int64_t>(o.num_clients)));
-  o.num_servers = static_cast<std::size_t>(
-      cfg.get_int("lustre.num_servers", static_cast<std::int64_t>(o.num_servers)));
-  o.default_cwnd = cfg.get_double("lustre.default_cwnd", o.default_cwnd);
-  o.cwnd_min = cfg.get_double("lustre.cwnd_min", o.cwnd_min);
-  o.cwnd_max = cfg.get_double("lustre.cwnd_max", o.cwnd_max);
-  o.cwnd_step = cfg.get_double("lustre.cwnd_step", o.cwnd_step);
-  o.default_rate_limit =
-      cfg.get_double("lustre.default_rate_limit", o.default_rate_limit);
-  o.rate_limit_min = cfg.get_double("lustre.rate_limit_min", o.rate_limit_min);
-  o.rate_limit_max = cfg.get_double("lustre.rate_limit_max", o.rate_limit_max);
-  o.rate_limit_step = cfg.get_double("lustre.rate_limit_step", o.rate_limit_step);
-  o.max_dirty_bytes = static_cast<std::uint64_t>(cfg.get_int(
-      "lustre.max_dirty_bytes", static_cast<std::int64_t>(o.max_dirty_bytes)));
-  o.rpc_timeout = cfg.get_int("lustre.rpc_timeout_us", o.rpc_timeout);
-  o.fragmentation = cfg.get_double("lustre.fragmentation", o.fragmentation);
-  o.disk_fullness = cfg.get_double("lustre.disk_fullness", o.disk_fullness);
-  o.seed = static_cast<std::uint64_t>(
-      cfg.get_int("lustre.seed", static_cast<std::int64_t>(o.seed)));
+// Strict parsers, one per member type (the util::parse_* the flags use),
+// each clamping numbers into the key's range.
+bool parse(const std::string& v, std::string* m, const ConfKey&,
+           std::string*) {
+  *m = v;
+  return true;
+}
+bool parse(const std::string& v, bool* m, const ConfKey&, std::string* why) {
+  return util::parse_bool(v, m) || reject(why, "true or false", v);
+}
+template <class T>
+  requires std::is_floating_point_v<T>
+bool parse(const std::string& v, T* m, const ConfKey& k, std::string* why) {
+  double x = 0.0;
+  if (!util::parse_double(v, &x) ||
+      std::abs(x) > std::numeric_limits<T>::max()) {
+    return reject(why, "a finite number", v);
+  }
+  *m = static_cast<T>(std::clamp(x, k.lo, k.hi));
+  return true;
+}
+template <class T>
+  requires std::is_integral_v<T>
+bool parse(const std::string& v, T* m, const ConfKey& k, std::string* why) {
+  std::int64_t x = 0;
+  if (!util::parse_i64(v, &x)) return reject(why, "an integer", v);
+  const double lo = std::is_unsigned_v<T> ? std::max(k.lo, 0.0) : k.lo;
+  if (x < lo) x = static_cast<std::int64_t>(lo);
+  if (x > k.hi) x = static_cast<std::int64_t>(k.hi);
+  *m = static_cast<T>(x);
+  return true;
+}
+bool parse(const std::string& v, Seed m, const ConfKey&, std::string* why) {
+  if (!util::parse_u64(v, m.value)) {
+    return reject(why, "an unsigned integer", v);
+  }
+  if (m.pinned != nullptr) *m.pinned = true;
+  return true;
+}
+bool parse(const std::string& v, Shards m, const ConfKey&, std::string* why) {
+  std::int64_t n = 0;
+  if (v != "auto" && !util::parse_i64(v, &n)) {
+    return reject(why, "auto or an integer", v);
+  }
+  *m.value = n < 0 ? 1 : static_cast<std::size_t>(n);  // negatives: serial
+  return true;
+}
+bool parse(const std::string& v, bus::TransportKind* m, const ConfKey&,
+           std::string* why) {
+  return bus::parse_transport_scheme(v, m, why);
+}
+bool parse(const std::string& v, LearnerMode* m, const ConfKey&,
+           std::string* why) {
+  return parse_learner_mode(v, m, why);
+}
+bool parse(const std::string& v, sim::ShardPlanKind* m, const ConfKey&,
+           std::string* why) {
+  return sim::parse_shard_plan_spec(v, m, why);
+}
 
-  o.disk.seq_read_mbs = cfg.get_double("disk.seq_read_mbs", o.disk.seq_read_mbs);
-  o.disk.seq_write_mbs = cfg.get_double("disk.seq_write_mbs", o.disk.seq_write_mbs);
-  o.disk.read_positioning_us =
-      cfg.get_int("disk.read_positioning_us", o.disk.read_positioning_us);
-  o.disk.write_positioning_us =
-      cfg.get_int("disk.write_positioning_us", o.disk.write_positioning_us);
-  o.disk.write_queue_gain =
-      cfg.get_double("disk.write_queue_gain", o.disk.write_queue_gain);
-  o.disk.write_queue_scale =
-      cfg.get_double("disk.write_queue_scale", o.disk.write_queue_scale);
-  o.disk.read_queue_gain =
-      cfg.get_double("disk.read_queue_gain", o.disk.read_queue_gain);
-  o.disk.read_queue_scale =
-      cfg.get_double("disk.read_queue_scale", o.disk.read_queue_scale);
-  o.disk.service_noise = cfg.get_double("disk.service_noise", o.disk.service_noise);
+// Writers, one per member type, in the form the parsers read back.
+void put(util::Config* c, const char* k, std::string* m) { c->set(k, *m); }
+void put(util::Config* c, const char* k, bool* m) { c->set_bool(k, *m); }
+template <class T>
+  requires std::is_floating_point_v<T>
+void put(util::Config* c, const char* k, T* m) {
+  c->set_double(k, *m);
+}
+template <class T>
+  requires std::is_integral_v<T>
+void put(util::Config* c, const char* k, T* m) {
+  c->set_int(k, static_cast<std::int64_t>(*m));
+}
+void put(util::Config* c, const char* k, Seed m) {
+  if (m.pinned == nullptr || *m.pinned) c->set(k, std::to_string(*m.value));
+}
+void put(util::Config* c, const char* k, Shards m) {
+  c->set(k, *m.value == 0 ? "auto" : std::to_string(*m.value));
+}
+void put(util::Config* c, const char* k, bus::TransportKind* m) {
+  c->set(k, bus::transport_scheme_name(*m));
+}
+void put(util::Config* c, const char* k, LearnerMode* m) {
+  c->set(k, learner_mode_name(*m));
+}
+void put(util::Config* c, const char* k, sim::ShardPlanKind* m) {
+  c->set(k, sim::shard_plan_name(*m));
+}
 
-  o.network.link_bandwidth_mbs =
-      cfg.get_double("network.link_bandwidth_mbs", o.network.link_bandwidth_mbs);
-  o.network.fabric_bandwidth_mbs = cfg.get_double("network.fabric_bandwidth_mbs",
-                                                  o.network.fabric_bandwidth_mbs);
-  o.network.base_latency =
-      cfg.get_int("network.base_latency_us", o.network.base_latency);
-  o.network.jitter_fraction =
-      cfg.get_double("network.jitter_fraction", o.network.jitter_fraction);
-  return o;
+bool under_tcp(const CapesOptions& o) {
+  return o.transport.kind == bus::TransportKind::kTcp;
+}
+bool faults_on(const CapesOptions& o) { return o.faults.enabled(); }
+
+#define F(...) [](Options& o) -> Member { return __VA_ARGS__; }
+
+/// Every conf key, with the clamps docs/CONFIG.md documents (the CLI
+/// flags and spec strings reject out-of-range values instead).
+constexpr ConfKey kConfKeys[] = {
+    {"capes.sampling_tick_s", F(&o.capes.sampling_tick_s)},
+    {"capes.reward_scale_mbs", F(&o.capes.reward_scale_mbs)},
+    {"capes.replay_db_dir", F(&o.capes.replay_db_dir)},
+    {"capes.capture.path", F(&o.capes.capture_path)},
+    {"capes.capture.ring", F(&o.capes.capture_ring), 2},
+    {"capes.worker_threads", F(&o.capes.worker_threads)},
+    {"capes.sim.shards", F(Shards{&o.capes.sim_shards})},
+    {"capes.sim.shard_plan", F(&o.capes.shard_plan)},
+    {"capes.transport", F(&o.capes.transport.kind)},
+    {"capes.transport.latency_ticks", F(&o.capes.transport.latency_ticks), 0},
+    {"capes.transport.jitter", F(&o.capes.transport.jitter), 0},
+    {"capes.transport.drop", F(&o.capes.transport.drop), 0, 0.999},
+    {"capes.transport.seed",
+     F(Seed{&o.capes.transport.seed, &o.capes.transport.seed_explicit})},
+    {"capes.transport.tcp.host", F(&o.capes.transport.tcp_host), -kInf, kInf,
+     under_tcp},
+    {"capes.transport.tcp.port", F(&o.capes.transport.tcp_port), 0, 65535,
+     under_tcp},
+    {"capes.transport.tcp.connect_timeout_ms",
+     F(&o.capes.transport.connect_timeout_ms), 0, kInf, under_tcp},
+    {"capes.transport.tcp.io_threads", F(&o.capes.transport.io_threads), 1, 64,
+     under_tcp},
+    {"capes.sim.faults.ost_crash", F(&o.capes.faults.ost_crash), 0, 0.999,
+     faults_on},
+    {"capes.sim.faults.restart_ticks", F(&o.capes.faults.restart_ticks), 1,
+     kInf, faults_on},
+    {"capes.sim.faults.straggler", F(&o.capes.faults.straggler), 0, 0.999,
+     faults_on},
+    {"capes.sim.faults.slow_factor", F(&o.capes.faults.slow_factor), 1, kInf,
+     faults_on},
+    {"capes.sim.faults.straggler_ticks", F(&o.capes.faults.straggler_ticks), 1,
+     kInf, faults_on},
+    {"capes.sim.faults.partition", F(&o.capes.faults.partition), 0, 0.999,
+     faults_on},
+    {"capes.sim.faults.partition_ticks", F(&o.capes.faults.partition_ticks), 1,
+     kInf, faults_on},
+    {"capes.sim.faults.seed",
+     F(Seed{&o.capes.faults.seed, &o.capes.faults.seed_explicit})},
+    {"capes.learner.mode", F(&o.capes.engine.learner_mode)},
+    {"capes.learner.checkpoint_ticks", F(&o.capes.engine.checkpoint_ticks)},
+
+    {"drl.minibatch_size", F(&o.capes.engine.minibatch_size)},
+    {"drl.train_steps_per_tick", F(&o.capes.engine.train_steps_per_tick)},
+    {"drl.eval_epsilon", F(&o.capes.engine.eval_epsilon)},
+    {"drl.gamma", F(&o.capes.engine.dqn.gamma)},
+    {"drl.learning_rate", F(&o.capes.engine.dqn.learning_rate)},
+    {"drl.target_update_alpha", F(&o.capes.engine.dqn.target_update_alpha)},
+    {"drl.num_hidden_layers", F(&o.capes.engine.dqn.num_hidden_layers)},
+    {"drl.hidden_size", F(&o.capes.engine.dqn.hidden_size)},
+    {"drl.use_target_network", F(&o.capes.engine.dqn.use_target_network)},
+    {"drl.epsilon_initial", F(&o.capes.engine.epsilon.initial)},
+    {"drl.epsilon_final", F(&o.capes.engine.epsilon.final_value)},
+    {"drl.epsilon_anneal_ticks", F(&o.capes.engine.epsilon.anneal_ticks)},
+    {"drl.epsilon_bump", F(&o.capes.engine.epsilon.bump_value)},
+    {"replay.ticks_per_observation",
+     F(&o.capes.replay.ticks_per_observation)},
+    {"replay.missing_tolerance", F(&o.capes.replay.missing_tolerance)},
+    {"replay.max_ticks_retained", F(&o.capes.replay.max_ticks_retained)},
+
+    {"lustre.num_clients", F(&o.cluster.num_clients)},
+    {"lustre.num_servers", F(&o.cluster.num_servers)},
+    {"lustre.default_cwnd", F(&o.cluster.default_cwnd)},
+    {"lustre.cwnd_min", F(&o.cluster.cwnd_min)},
+    {"lustre.cwnd_max", F(&o.cluster.cwnd_max)},
+    {"lustre.cwnd_step", F(&o.cluster.cwnd_step)},
+    {"lustre.default_rate_limit", F(&o.cluster.default_rate_limit)},
+    {"lustre.rate_limit_min", F(&o.cluster.rate_limit_min)},
+    {"lustre.rate_limit_max", F(&o.cluster.rate_limit_max)},
+    {"lustre.rate_limit_step", F(&o.cluster.rate_limit_step)},
+    {"lustre.max_dirty_bytes", F(&o.cluster.max_dirty_bytes)},
+    {"lustre.rpc_timeout_us", F(&o.cluster.rpc_timeout)},
+    {"lustre.fragmentation", F(&o.cluster.fragmentation)},
+    {"lustre.disk_fullness", F(&o.cluster.disk_fullness)},
+    {"lustre.seed", F(Seed{&o.cluster.seed, nullptr})},
+    {"disk.seq_read_mbs", F(&o.cluster.disk.seq_read_mbs)},
+    {"disk.seq_write_mbs", F(&o.cluster.disk.seq_write_mbs)},
+    {"disk.read_positioning_us", F(&o.cluster.disk.read_positioning_us)},
+    {"disk.write_positioning_us", F(&o.cluster.disk.write_positioning_us)},
+    {"disk.write_queue_gain", F(&o.cluster.disk.write_queue_gain)},
+    {"disk.write_queue_scale", F(&o.cluster.disk.write_queue_scale)},
+    {"disk.read_queue_gain", F(&o.cluster.disk.read_queue_gain)},
+    {"disk.read_queue_scale", F(&o.cluster.disk.read_queue_scale)},
+    {"disk.service_noise", F(&o.cluster.disk.service_noise)},
+    {"network.link_bandwidth_mbs", F(&o.cluster.network.link_bandwidth_mbs)},
+    {"network.fabric_bandwidth_mbs",
+     F(&o.cluster.network.fabric_bandwidth_mbs)},
+    {"network.base_latency_us", F(&o.cluster.network.base_latency)},
+    {"network.jitter_fraction", F(&o.cluster.network.jitter_fraction)},
+};
+
+#undef F
+
+}  // namespace
+
+bool apply_config(const util::Config& cfg, CapesOptions* capes,
+                  lustre::ClusterOptions* cluster, std::string* error) {
+  Options options{*capes, *cluster};
+  for (const std::string& name : cfg.keys()) {
+    const ConfKey* k =
+        std::find_if(std::begin(kConfKeys), std::end(kConfKeys),
+                     [&](const ConfKey& e) { return name == e.key; });
+    const bool known = k != std::end(kConfKeys);
+    std::string why;
+    const auto read = [&](auto m) {
+      return parse(*cfg.get(name), m, *k, &why);
+    };
+    if (known && std::visit(read, k->member(options))) continue;
+    if (error) {
+      *error = known ? "conf key " + name + ": " + why
+                     : "unknown conf key '" + name + "'";
+    }
+    return false;
+  }
+  return true;
 }
 
 util::Config config_from_options(const CapesOptions& capes,
                                  const lustre::ClusterOptions& cluster) {
+  CapesOptions capes_copy = capes;  // the table's members are mutable
+  lustre::ClusterOptions cluster_copy = cluster;
+  Options options{capes_copy, cluster_copy};
   util::Config cfg;
-  cfg.set_double("capes.sampling_tick_s", capes.sampling_tick_s);
-  cfg.set_double("capes.reward_scale_mbs", capes.reward_scale_mbs);
-  cfg.set("capes.replay_db_dir", capes.replay_db_dir);
-  cfg.set("capes.capture.path", capes.capture_path);
-  cfg.set_int("capes.capture.ring",
-              static_cast<std::int64_t>(capes.capture_ring));
-  cfg.set_int("capes.worker_threads",
-              static_cast<std::int64_t>(capes.worker_threads));
-  if (capes.sim_shards == 0) {
-    cfg.set("capes.sim.shards", "auto");
-  } else {
-    cfg.set_int("capes.sim.shards",
-                static_cast<std::int64_t>(capes.sim_shards));
+  for (const ConfKey& k : kConfKeys) {
+    if (k.written != nullptr && !k.written(capes)) continue;
+    std::visit([&](auto m) { put(&cfg, k.key, m); }, k.member(options));
   }
-  cfg.set("capes.sim.shard_plan", sim::shard_plan_name(capes.shard_plan));
-  cfg.set("capes.transport",
-          capes.transport.kind == bus::TransportKind::kSim   ? "sim"
-          : capes.transport.kind == bus::TransportKind::kTcp ? "tcp"
-                                                             : "sync");
-  cfg.set_int("capes.transport.latency_ticks", capes.transport.latency_ticks);
-  cfg.set_double("capes.transport.jitter", capes.transport.jitter);
-  cfg.set_double("capes.transport.drop", capes.transport.drop);
-  if (capes.transport.seed_explicit) {
-    cfg.set_int("capes.transport.seed",
-                static_cast<std::int64_t>(capes.transport.seed));
-  }
-  if (capes.transport.kind == bus::TransportKind::kTcp) {
-    cfg.set("capes.transport.tcp.host", capes.transport.tcp_host);
-    cfg.set_int("capes.transport.tcp.port", capes.transport.tcp_port);
-    cfg.set_int("capes.transport.tcp.connect_timeout_ms",
-                capes.transport.connect_timeout_ms);
-    cfg.set_int("capes.transport.tcp.io_threads", capes.transport.io_threads);
-  }
-  // Emitted only when a fault plan is active, so faultless configs stay
-  // byte-identical to pre-fault builds.
-  if (capes.faults.enabled()) {
-    cfg.set_double("capes.sim.faults.ost_crash", capes.faults.ost_crash);
-    cfg.set_int("capes.sim.faults.restart_ticks", capes.faults.restart_ticks);
-    cfg.set_double("capes.sim.faults.straggler", capes.faults.straggler);
-    cfg.set_double("capes.sim.faults.slow_factor", capes.faults.slow_factor);
-    cfg.set_int("capes.sim.faults.straggler_ticks",
-                capes.faults.straggler_ticks);
-    cfg.set_double("capes.sim.faults.partition", capes.faults.partition);
-    cfg.set_int("capes.sim.faults.partition_ticks",
-                capes.faults.partition_ticks);
-  }
-  if (capes.faults.seed_explicit) {
-    cfg.set_int("capes.sim.faults.seed",
-                static_cast<std::int64_t>(capes.faults.seed));
-  }
-  cfg.set("capes.learner.mode",
-          capes.engine.learner_mode == LearnerMode::kAsync ? "async" : "sync");
-  cfg.set_int("capes.learner.checkpoint_ticks",
-              static_cast<std::int64_t>(capes.engine.checkpoint_ticks));
-  cfg.set_int("drl.minibatch_size",
-              static_cast<std::int64_t>(capes.engine.minibatch_size));
-  cfg.set_int("drl.train_steps_per_tick",
-              static_cast<std::int64_t>(capes.engine.train_steps_per_tick));
-  cfg.set_double("drl.eval_epsilon", capes.engine.eval_epsilon);
-  cfg.set_double("drl.gamma", capes.engine.dqn.gamma);
-  cfg.set_double("drl.learning_rate", capes.engine.dqn.learning_rate);
-  cfg.set_double("drl.target_update_alpha", capes.engine.dqn.target_update_alpha);
-  cfg.set_int("drl.num_hidden_layers",
-              static_cast<std::int64_t>(capes.engine.dqn.num_hidden_layers));
-  cfg.set_int("drl.hidden_size",
-              static_cast<std::int64_t>(capes.engine.dqn.hidden_size));
-  cfg.set_bool("drl.use_target_network", capes.engine.dqn.use_target_network);
-  cfg.set_double("drl.epsilon_initial", capes.engine.epsilon.initial);
-  cfg.set_double("drl.epsilon_final", capes.engine.epsilon.final_value);
-  cfg.set_int("drl.epsilon_anneal_ticks", capes.engine.epsilon.anneal_ticks);
-  cfg.set_int("replay.ticks_per_observation",
-              static_cast<std::int64_t>(capes.replay.ticks_per_observation));
-  cfg.set_double("replay.missing_tolerance", capes.replay.missing_tolerance);
-
-  cfg.set_int("lustre.num_clients", static_cast<std::int64_t>(cluster.num_clients));
-  cfg.set_int("lustre.num_servers", static_cast<std::int64_t>(cluster.num_servers));
-  cfg.set_double("lustre.default_cwnd", cluster.default_cwnd);
-  cfg.set_double("lustre.cwnd_max", cluster.cwnd_max);
-  cfg.set_double("lustre.default_rate_limit", cluster.default_rate_limit);
-  cfg.set_double("disk.seq_read_mbs", cluster.disk.seq_read_mbs);
-  cfg.set_double("disk.seq_write_mbs", cluster.disk.seq_write_mbs);
-  cfg.set_double("network.fabric_bandwidth_mbs",
-                 cluster.network.fabric_bandwidth_mbs);
   return cfg;
+}
+
+std::vector<std::string> conf_keys() {
+  std::vector<std::string> keys;
+  for (const ConfKey& k : kConfKeys) keys.emplace_back(k.key);
+  return keys;
 }
 
 }  // namespace capes::core

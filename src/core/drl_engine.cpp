@@ -17,6 +17,25 @@ constexpr std::uint32_t kCheckpointMagic = 0x4c43504bu;  // "LCPK"
 constexpr std::uint32_t kCheckpointVersion = 1;
 }  // namespace
 
+const char* learner_mode_name(LearnerMode mode) {
+  return mode == LearnerMode::kAsync ? "async" : "sync";
+}
+
+bool parse_learner_mode(std::string_view text, LearnerMode* out,
+                        std::string* error) {
+  for (const LearnerMode mode : {LearnerMode::kSync, LearnerMode::kAsync}) {
+    if (text == learner_mode_name(mode)) {
+      *out = mode;
+      return true;
+    }
+  }
+  if (error != nullptr) {
+    *error = "unknown learner mode '" + std::string(text) +
+             "' (expected sync or async)";
+  }
+  return false;
+}
+
 DrlEngine::DrlEngine(DrlEngineOptions opts, rl::ReplayDb& replay)
     : opts_(opts), replay_(replay), epsilon_(opts.epsilon), rng_(opts.seed) {
   opts_.dqn.observation_size = replay_.observation_size();

@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -37,6 +39,13 @@ namespace capes::core {
 /// Where train_step runs: inline on the control thread, or on the
 /// dedicated learner thread.
 enum class LearnerMode { kSync, kAsync };
+
+/// The mode's one spelling ("sync" or "async"), shared by --learner, the
+/// builder's learner() spec and the capes.learner.mode conf key.
+const char* learner_mode_name(LearnerMode mode);
+/// Parse a learner mode; false (with *error, if non-null) otherwise.
+bool parse_learner_mode(std::string_view text, LearnerMode* out,
+                        std::string* error = nullptr);
 
 struct DrlEngineOptions {
   rl::DqnOptions dqn;

@@ -101,7 +101,8 @@ class ExperimentBuilder {
   /// Seed for the preset's RNGs (cluster, DQN, exploration). Applies on
   /// top of an explicit preset too.
   ExperimentBuilder& seed(std::uint64_t s);
-  /// Overlay a conf file (core/config_io.hpp keys) onto the preset.
+  /// Overlay a conf file (core/config_io.hpp keys) onto the preset. An
+  /// unknown key or a value that does not parse fails build().
   ExperimentBuilder& config_file(std::string path);
   /// Workload spec resolved through workload::Registry ("random:0.1", ...).
   /// Defines domain 0 on a bundled Lustre cluster.
@@ -193,7 +194,8 @@ class ExperimentBuilder {
 
   /// Validates the configuration and assembles the object graph. Returns
   /// nullptr and sets *error (if non-null) on an unknown workload, a bad
-  /// spec, an unreadable config file, or a missing workload/adapter.
+  /// spec, an unreadable config file or a bad key in it, or a missing
+  /// workload/adapter.
   /// The builder is left intact either way and can build again.
   std::unique_ptr<Experiment> build(std::string* error = nullptr);
 

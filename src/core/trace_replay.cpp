@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
+#include "core/config_io.hpp"
 #include "sim/fault.hpp"
 #include "stats/changepoint.hpp"
 #include "util/frame.hpp"
@@ -14,17 +16,24 @@ namespace capes::core {
 using util::get_le32;
 using util::get_le_f64;
 
-bool parse_replay_speed(const std::string& text, ReplaySpeed* out) {
-  if (text == "realtime") {
-    *out = ReplaySpeed::kRealtime;
-  } else if (text == "fast") {
-    *out = ReplaySpeed::kFast;
-  } else if (text == "max") {
-    *out = ReplaySpeed::kMax;
-  } else {
-    return false;
+const char* replay_speed_name(ReplaySpeed speed) {
+  switch (speed) {
+    case ReplaySpeed::kRealtime: return "realtime";
+    case ReplaySpeed::kFast: return "fast";
+    case ReplaySpeed::kMax: break;
   }
-  return true;
+  return "max";
+}
+
+bool parse_replay_speed(const std::string& text, ReplaySpeed* out) {
+  for (const ReplaySpeed speed :
+       {ReplaySpeed::kRealtime, ReplaySpeed::kFast, ReplaySpeed::kMax}) {
+    if (text == replay_speed_name(speed)) {
+      *out = speed;
+      return true;
+    }
+  }
+  return false;
 }
 
 TraceReplayer::TraceReplayer() = default;
@@ -40,17 +49,26 @@ bool TraceReplayer::open(const std::string& path, TraceReplayOptions opts,
     return false;
   }
   meta_ = *meta;
-  if (meta_.num_nodes == 0 || meta_.pis_per_node == 0 ||
-      meta_.num_actions == 0) {
-    if (error) *error = "capture meta describes an empty topology: " + path;
+  std::string why;
+  if (!meta_.check(&why)) {
+    if (error) *error = "capture meta " + why + ": " + path;
     return false;
+  }
+  std::optional<CapesOptions> overlay;
+  if (opts_.conf_overlay != nullptr) {
+    overlay = traced_options(meta_);
+    lustre::ClusterOptions unused;  // validated, never applied
+    if (!apply_config(*opts_.conf_overlay, &*overlay, &unused, &why)) {
+      if (error) *error = why;
+      return false;
+    }
   }
 
   brain_ = std::make_unique<Brain>(meta_, std::vector<ShardLayout>{},
-                                   opts_.config_overlay);
+                                   overlay ? &*overlay : nullptr);
   fresh_weights_match_ =
       brain_->weights_fingerprint() == meta_.initial_weights_fingerprint;
-  if (!fresh_weights_match_ && opts_.config_overlay == nullptr) {
+  if (!fresh_weights_match_ && opts_.conf_overlay == nullptr) {
     CAPES_LOG_WARN("replay")
         << "fresh weights do not match the capture's starting fingerprint "
         << "(the live run likely restored a checkpoint); the round-trip "

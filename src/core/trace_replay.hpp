@@ -21,6 +21,7 @@
 #include "capture/wire_log_reader.hpp"
 #include "core/brain.hpp"
 #include "core/capes_system.hpp"
+#include "util/config.hpp"
 
 namespace capes::core {
 
@@ -30,15 +31,20 @@ enum class ReplaySpeed {
   kMax,       ///< no pacing (the determinism-check mode)
 };
 
-/// Parse "realtime" | "fast" | "max"; false leaves `out` untouched.
+/// The speed's one spelling: "realtime", "fast" or "max".
+const char* replay_speed_name(ReplaySpeed speed);
+/// Parse a speed name; false leaves `out` untouched.
 bool parse_replay_speed(const std::string& text, ReplaySpeed* out);
 
 struct TraceReplayOptions {
   ReplaySpeed speed = ReplaySpeed::kMax;
-  /// Optional engine/replay hyperparameter overlay (diff mode: same
-  /// traffic, different tuner configuration). Topology and both seeds
-  /// always come from the capture meta so a diff isolates the overlay.
-  const CapesOptions* config_overlay = nullptr;
+  /// Optional conf overlay (diff mode: same traffic, different tuner
+  /// configuration). Its keys apply to traced_options(meta), so an empty
+  /// overlay replays the live run. Every key is validated, but only the
+  /// drl.* and replay.* keys take effect: topology, both seeds and the
+  /// sync learner always come from the capture, so a diff isolates the
+  /// overlay.
+  const util::Config* conf_overlay = nullptr;
 };
 
 /// Per-phase replay outcome, the PhaseReport analogue diff mode compares.
@@ -92,7 +98,8 @@ class TraceReplayer {
 
   /// Load + validate the capture and construct the fresh Brain (Replay DB,
   /// daemon decoders, DRL engine). False + `*error` on a missing/corrupt
-  /// file, undecodable meta, or zero valid records.
+  /// file, an undecodable meta or one that fails TraceMeta::check, a conf
+  /// overlay apply_config() rejects, or zero valid records.
   bool open(const std::string& path, TraceReplayOptions opts,
             std::string* error);
 

@@ -1,9 +1,6 @@
 #include "util/config.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -64,48 +61,10 @@ void Config::set_bool(const std::string& key, bool value) {
   values_[key] = value ? "true" : "false";
 }
 
-bool Config::has(const std::string& key) const { return values_.count(key) > 0; }
-
-std::string Config::get(const std::string& key, const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
 std::optional<std::string> Config::get(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::int64_t Config::get_int(const std::string& key, std::int64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return fallback;
-  return v;
-}
-
-double Config::get_double(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (errno != 0 || end == it->second.c_str() || *end != '\0') return fallback;
-  return v;
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return fallback;
 }
 
 std::vector<std::string> Config::keys() const {

@@ -2,7 +2,7 @@
 // Key-value configuration store — the C++ analogue of the prototype's
 // conf.py. Every daemon (Interface Daemon, DRL Engine, Monitoring/Control
 // Agents) reads its settings from one Config; keys use dotted names such as
-// "drl.minibatch_size" or "lustre.max_rpcs_in_flight".
+// drl.minibatch_size or lustre.default_cwnd (core/config_io.cpp lists them).
 
 #include <cstdint>
 #include <map>
@@ -31,16 +31,8 @@ class Config {
   void set_double(const std::string& key, double value);
   void set_bool(const std::string& key, bool value);
 
-  bool has(const std::string& key) const;
-
-  /// Typed getters returning `fallback` when the key is absent.
-  /// A present-but-unparsable value also returns the fallback.
-  std::string get(const std::string& key, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
-
-  /// Strict getter: nullopt when absent.
+  /// The raw value, or nullopt when the key is absent. Typed values go
+  /// through the strict util::parse_* parsers (core/config_io.cpp).
   std::optional<std::string> get(const std::string& key) const;
 
   /// Keys in sorted order (for dumping / diffing configs).

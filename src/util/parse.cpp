@@ -67,6 +67,17 @@ bool parse_double(std::string_view text, double* out) {
   return true;
 }
 
+bool parse_bool(std::string_view text, bool* out) {
+  std::string s(text);
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  const bool yes = s == "true" || s == "yes" || s == "on" || s == "1";
+  if (!yes && s != "false" && s != "no" && s != "off" && s != "0") return false;
+  *out = yes;
+  return true;
+}
+
 bool parse_flag(const char* arg, const char* name, std::string* out) {
   const std::size_t n = std::strlen(name);
   if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {

@@ -20,10 +20,13 @@ bool parse_u64(std::string_view text, std::uint64_t* out);
 /// Parse a decimal floating-point number (no inf/nan/hex).
 bool parse_double(std::string_view text, double* out);
 
+/// Parse a boolean: true/yes/on/1 or false/no/off/0, in any letter case.
+bool parse_bool(std::string_view text, bool* out);
+
 /// Split a "--name=value" command-line argument: when `arg` starts with
 /// `name` immediately followed by '=', store the value part in *out and
-/// return true. The bench binaries' hand-rolled flag loops use it; the
-/// tools declare util::Flag tables instead (util/cli.hpp).
+/// return true. perfbench/'s flag loop uses it; the tools and the bench/
+/// binaries declare util::Flag tables instead (util/cli.hpp).
 bool parse_flag(const char* arg, const char* name, std::string* out);
 
 }  // namespace capes::util

@@ -403,5 +403,19 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+TEST(TransportScheme, EachKindHasOneSpellingThatParsesBack) {
+  for (const TransportKind kind :
+       {TransportKind::kSync, TransportKind::kSim, TransportKind::kTcp}) {
+    TransportKind parsed = TransportKind::kSync;
+    ASSERT_TRUE(parse_transport_scheme(transport_scheme_name(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
+  }
+  std::string error;
+  TransportKind untouched = TransportKind::kSim;
+  EXPECT_FALSE(parse_transport_scheme("udp", &untouched, &error));
+  EXPECT_EQ(untouched, TransportKind::kSim);
+  EXPECT_NE(error.find("'udp'"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace capes::bus

@@ -271,5 +271,18 @@ TEST(DrlEngine, AsyncCheckpointMatchesSyncCheckpoint) {
   EXPECT_EQ(blobs[0], blobs[1]);
 }
 
+TEST(LearnerModeName, EachModeHasOneSpellingThatParsesBack) {
+  for (const LearnerMode mode : {LearnerMode::kSync, LearnerMode::kAsync}) {
+    LearnerMode parsed = LearnerMode::kSync;
+    ASSERT_TRUE(parse_learner_mode(learner_mode_name(mode), &parsed));
+    EXPECT_EQ(parsed, mode);
+  }
+  std::string error;
+  LearnerMode untouched = LearnerMode::kAsync;
+  EXPECT_FALSE(parse_learner_mode("asink", &untouched, &error));
+  EXPECT_EQ(untouched, LearnerMode::kAsync);
+  EXPECT_NE(error.find("'asink'"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace capes::core

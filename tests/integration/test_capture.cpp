@@ -11,11 +11,13 @@
 #include <string>
 
 #include "capture/wire_log_reader.hpp"
+#include "capture/wire_log_writer.hpp"
 #include "core/capes_system.hpp"
 #include "core/presets.hpp"
 #include "core/trace_replay.hpp"
 #include "lustre/cluster.hpp"
 #include "util/alloc_hook.hpp"
+#include "util/config.hpp"
 #include "workload/random_rw.hpp"
 
 namespace capes {
@@ -140,10 +142,10 @@ TEST_F(CaptureIntegration, ConfigOverlayDivergesOnIdenticalTraffic) {
 
   // Same capture, harsher learning rate: the policy diverges, the
   // traffic (status/reward records, ticks) cannot.
-  auto overlay = capture_preset().capes;
-  overlay.engine.dqn.learning_rate = 0.05f;
+  util::Config overlay;
+  overlay.set("drl.learning_rate", "0.05");
   core::TraceReplayOptions opts;
-  opts.config_overlay = &overlay;
+  opts.conf_overlay = &overlay;
   core::TraceReplayer diff;
   ASSERT_TRUE(diff.open(path_, opts, &error)) << error;
   const auto diff_report = diff.run();
@@ -156,6 +158,96 @@ TEST_F(CaptureIntegration, ConfigOverlayDivergesOnIdenticalTraffic) {
     EXPECT_EQ(diff_report.phases[i].ticks, base_report.phases[i].ticks);
   }
   EXPECT_NE(diff_report.weights_fingerprint, base_report.weights_fingerprint);
+}
+
+TEST_F(CaptureIntegration, EmptyOverlayReplaysTheLiveRun) {
+  // The overlay lands on the traced configuration, not on defaults: with
+  // no keys it must replay the live run exactly, as no overlay does.
+  const LiveRun live = run_captured(path_, 80, 0);
+  const util::Config empty;
+  core::TraceReplayOptions opts;
+  opts.conf_overlay = &empty;
+  core::TraceReplayer replayer;
+  std::string error;
+  ASSERT_TRUE(replayer.open(path_, opts, &error)) << error;
+  const auto report = replayer.run();
+  EXPECT_EQ(report.weights_fingerprint, live.fingerprint);
+  EXPECT_EQ(report.total_train_steps, live.train_steps);
+  EXPECT_EQ(report.action_mismatches, 0u);
+}
+
+TEST_F(CaptureIntegration, OverlayWithUnknownKeyFailsOpen) {
+  run_captured(path_, 20, 0);
+  util::Config overlay;
+  overlay.set("drl.learning_rat", "0.05");
+  core::TraceReplayOptions opts;
+  opts.conf_overlay = &overlay;
+  core::TraceReplayer replayer;
+  std::string error;
+  EXPECT_FALSE(replayer.open(path_, opts, &error));
+  EXPECT_NE(error.find("drl.learning_rat"), std::string::npos) << error;
+}
+
+/// The meta a 128-domain fast-preset run records (5 clients and two
+/// tunables per domain).
+capture::TraceMeta fast_preset_meta(std::uint32_t domains) {
+  const auto preset = core::fast_preset(1);
+  capture::TraceMeta meta;
+  meta.num_domains = domains;
+  meta.num_nodes =
+      domains * static_cast<std::uint32_t>(preset.cluster.num_clients);
+  meta.pis_per_node = lustre::Cluster::kPisPerNode;
+  meta.num_actions = 1 + 2 * 2 * domains;
+  meta.ticks_per_observation = static_cast<std::uint32_t>(
+      preset.capes.replay.ticks_per_observation);
+  meta.num_hidden_layers =
+      static_cast<std::uint32_t>(preset.capes.engine.dqn.num_hidden_layers);
+  meta.hidden_size =
+      static_cast<std::uint32_t>(preset.capes.engine.dqn.hidden_size);
+  meta.minibatch_size =
+      static_cast<std::uint32_t>(preset.capes.engine.minibatch_size);
+  return meta;
+}
+
+TEST(TraceMetaCheck, AcceptsLargePresetsRejectsForgedSizes) {
+  std::string error;
+  EXPECT_TRUE(fast_preset_meta(128).check(&error)) << error;
+
+  capture::TraceMeta empty = fast_preset_meta(1);
+  empty.pis_per_node = 0;
+  EXPECT_FALSE(empty.check(&error));
+  EXPECT_NE(error.find("empty topology"), std::string::npos) << error;
+
+  // Each sizing field alone, pushed to its wire maximum, must trip the
+  // ceiling (products saturate rather than wrap back under it).
+  for (int field = 0; field < 5; ++field) {
+    capture::TraceMeta forged = fast_preset_meta(1);
+    std::uint32_t* target[] = {&forged.hidden_size, &forged.num_hidden_layers,
+                               &forged.num_nodes, &forged.ticks_per_observation,
+                               &forged.minibatch_size};
+    *target[field] = 0xFFFFFFFFu;
+    EXPECT_FALSE(forged.check(&error)) << "field " << field;
+    EXPECT_NE(error.find("above the limit"), std::string::npos) << error;
+  }
+}
+
+TEST_F(CaptureIntegration, ForgedMetaSizingFailsOpen) {
+  // A capture whose meta asks for a 2^32-wide network must fail open()
+  // before any brain is built (capes_replay then exits 1).
+  capture::TraceMeta meta = fast_preset_meta(1);
+  meta.hidden_size = 0xFFFFFFFFu;
+  {
+    capture::WireLogWriterOptions wopts;
+    wopts.path = path_;
+    capture::WireLogWriter writer(wopts, meta.encode());
+    const double reward = 1.0;
+    writer.record_f64s(capture::RecordType::kReward, 0, 0, 0, &reward, 1);
+    ASSERT_TRUE(writer.close());
+  }
+  core::TraceReplayer replayer;
+  std::string error;
+  EXPECT_FALSE(replayer.open(path_, {}, &error));
+  EXPECT_NE(error.find("above the limit"), std::string::npos) << error;
 }
 
 TEST_F(CaptureIntegration, CaptureFileRecordsAllHops) {

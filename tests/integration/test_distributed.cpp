@@ -336,5 +336,18 @@ TEST(Distributed, ForgedHelloIsRejectedBeforeAnyStateIsBuilt) {
   EXPECT_EQ(report.num_domains, 0u);
 }
 
+TEST(Distributed, OversizedHelloMetaIsRejectedBeforeAnyBrainIsBuilt) {
+  // A well-formed Hello whose meta asks for a 2^32-wide network: the
+  // TraceMeta check refuses it before the Brain would allocate.
+  core::HelloPayload hello = valid_hello();
+  hello.meta.hidden_size = 0xFFFFFFFFu;
+  const auto report = serve_hello(core::encode_hello(hello));
+  EXPECT_FALSE(report.hello_ok);
+  EXPECT_NE(report.error.find("above the limit"), std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.num_domains, 0u);
+  EXPECT_EQ(report.fingerprint, 0u);  // no Brain was ever built
+}
+
 }  // namespace
 }  // namespace capes

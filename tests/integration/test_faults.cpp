@@ -276,7 +276,10 @@ TEST(Faults, ConfKeysRoundTripAndClamp) {
   util::Config cfg;
   ASSERT_TRUE(cfg.parse_file(path));
   std::remove(path.c_str());
-  const CapesOptions opts = capes_options_from_config(cfg);
+  CapesOptions opts;
+  lustre::ClusterOptions cluster;
+  std::string error;
+  ASSERT_TRUE(apply_config(cfg, &opts, &cluster, &error)) << error;
   EXPECT_DOUBLE_EQ(opts.faults.ost_crash, 0.01);
   EXPECT_EQ(opts.faults.restart_ticks, 9);
   EXPECT_DOUBLE_EQ(opts.faults.straggler, 0.999);
@@ -286,7 +289,8 @@ TEST(Faults, ConfKeysRoundTripAndClamp) {
   EXPECT_TRUE(opts.faults.seed_explicit);
 
   const util::Config dumped = config_from_options(opts, {});
-  const CapesOptions reread = capes_options_from_config(dumped);
+  CapesOptions reread;
+  ASSERT_TRUE(apply_config(dumped, &reread, &cluster, &error)) << error;
   EXPECT_DOUBLE_EQ(reread.faults.ost_crash, opts.faults.ost_crash);
   EXPECT_EQ(reread.faults.restart_ticks, opts.faults.restart_ticks);
   EXPECT_DOUBLE_EQ(reread.faults.straggler, opts.faults.straggler);
@@ -298,8 +302,8 @@ TEST(Faults, ConfKeysRoundTripAndClamp) {
   // dumped configs from faultless runs stay byte-identical to pre-fault
   // builds.
   const util::Config clean = config_from_options(CapesOptions{}, {});
-  EXPECT_FALSE(clean.has("capes.sim.faults.ost_crash"));
-  EXPECT_FALSE(clean.has("capes.sim.faults.seed"));
+  EXPECT_FALSE(clean.get("capes.sim.faults.ost_crash").has_value());
+  EXPECT_FALSE(clean.get("capes.sim.faults.seed").has_value());
 }
 
 }  // namespace

@@ -6,27 +6,29 @@
 #include <filesystem>
 #include <fstream>
 
+#include "util/parse.hpp"
+
 namespace capes::util {
 namespace {
 
 TEST(Config, ParseBasicKeyValue) {
   Config c;
   ASSERT_TRUE(c.parse_string("a = 1\nb = hello\n"));
-  EXPECT_EQ(c.get_int("a", 0), 1);
-  EXPECT_EQ(c.get("b", ""), "hello");
+  EXPECT_EQ(c.get("a"), "1");
+  EXPECT_EQ(c.get("b"), "hello");
 }
 
 TEST(Config, CommentsAndBlanksIgnored) {
   Config c;
   ASSERT_TRUE(c.parse_string("# comment\n\n  # indented comment\nx = 2\n"));
   EXPECT_EQ(c.size(), 1u);
-  EXPECT_EQ(c.get_int("x", 0), 2);
+  EXPECT_EQ(c.get("x"), "2");
 }
 
 TEST(Config, WhitespaceTrimmed) {
   Config c;
   ASSERT_TRUE(c.parse_string("  key.with.dots   =   some value  \n"));
-  EXPECT_EQ(c.get("key.with.dots", ""), "some value");
+  EXPECT_EQ(c.get("key.with.dots"), "some value");
 }
 
 TEST(Config, MalformedLineFails) {
@@ -38,62 +40,59 @@ TEST(Config, MalformedLineFails) {
 TEST(Config, LaterKeysOverride) {
   Config c;
   ASSERT_TRUE(c.parse_string("k = 1\nk = 2\n"));
-  EXPECT_EQ(c.get_int("k", 0), 2);
+  EXPECT_EQ(c.get("k"), "2");
 }
 
 TEST(Config, EmptyValueAllowed) {
   Config c;
   ASSERT_TRUE(c.parse_string("k =\n"));
-  EXPECT_TRUE(c.has("k"));
-  EXPECT_EQ(c.get("k", "x"), "");
+  EXPECT_EQ(c.get("k"), "");
 }
 
-TEST(Config, TypedGettersFallBackOnMissing) {
-  Config c;
-  EXPECT_EQ(c.get_int("nope", 42), 42);
-  EXPECT_DOUBLE_EQ(c.get_double("nope", 2.5), 2.5);
-  EXPECT_TRUE(c.get_bool("nope", true));
-  EXPECT_EQ(c.get("nope", "d"), "d");
-}
-
-TEST(Config, TypedGettersFallBackOnUnparsable) {
-  Config c;
-  c.set("k", "not_a_number");
-  EXPECT_EQ(c.get_int("k", 9), 9);
-  EXPECT_DOUBLE_EQ(c.get_double("k", 1.5), 1.5);
-}
-
+// Config stores raw strings; typed conf values go through the strict
+// util::parse_* parsers (core/config_io.cpp), never a lenient fallback.
 TEST(Config, IntRejectsTrailingGarbage) {
   Config c;
   c.set("k", "12abc");
-  EXPECT_EQ(c.get_int("k", -1), -1);
+  std::int64_t v = -1;
+  EXPECT_FALSE(parse_i64(*c.get("k"), &v));
+  EXPECT_EQ(v, -1);
 }
 
 TEST(Config, DoubleParsesScientific) {
   Config c;
   c.set("k", "1e-4");
-  EXPECT_DOUBLE_EQ(c.get_double("k", 0.0), 1e-4);
+  double v = 0.0;
+  ASSERT_TRUE(parse_double(*c.get("k"), &v));
+  EXPECT_DOUBLE_EQ(v, 1e-4);
 }
 
 TEST(Config, NegativeNumbers) {
   Config c;
   c.set("k", "-17");
-  EXPECT_EQ(c.get_int("k", 0), -17);
-  EXPECT_DOUBLE_EQ(c.get_double("k", 0.0), -17.0);
+  std::int64_t i = 0;
+  double d = 0.0;
+  ASSERT_TRUE(parse_i64(*c.get("k"), &i));
+  ASSERT_TRUE(parse_double(*c.get("k"), &d));
+  EXPECT_EQ(i, -17);
+  EXPECT_DOUBLE_EQ(d, -17.0);
 }
 
 TEST(Config, BoolVariants) {
   Config c;
+  bool v = false;
   for (const char* t : {"true", "1", "yes", "on", "TRUE", "Yes"}) {
     c.set("k", t);
-    EXPECT_TRUE(c.get_bool("k", false)) << t;
+    v = false;
+    EXPECT_TRUE(parse_bool(*c.get("k"), &v) && v) << t;
   }
   for (const char* f : {"false", "0", "no", "off", "FALSE"}) {
     c.set("k", f);
-    EXPECT_FALSE(c.get_bool("k", true)) << f;
+    v = true;
+    EXPECT_TRUE(parse_bool(*c.get("k"), &v) && !v) << f;
   }
   c.set("k", "maybe");
-  EXPECT_TRUE(c.get_bool("k", true));
+  EXPECT_FALSE(parse_bool(*c.get("k"), &v));
 }
 
 TEST(Config, SettersRoundTrip) {
@@ -101,9 +100,9 @@ TEST(Config, SettersRoundTrip) {
   c.set_int("i", -5);
   c.set_double("d", 0.125);
   c.set_bool("b", true);
-  EXPECT_EQ(c.get_int("i", 0), -5);
-  EXPECT_DOUBLE_EQ(c.get_double("d", 0.0), 0.125);
-  EXPECT_TRUE(c.get_bool("b", false));
+  EXPECT_EQ(c.get("i"), "-5");
+  EXPECT_EQ(c.get("d"), "0.125");
+  EXPECT_EQ(c.get("b"), "true");
 }
 
 TEST(Config, StrictGetReturnsNullopt) {
@@ -131,8 +130,8 @@ TEST(Config, DumpParsesBack) {
   c.set("s", "text value");
   Config c2;
   ASSERT_TRUE(c2.parse_string(c.dump()));
-  EXPECT_EQ(c2.get_int("a.b", 0), 7);
-  EXPECT_EQ(c2.get("s", ""), "text value");
+  EXPECT_EQ(c2.get("a.b"), "7");
+  EXPECT_EQ(c2.get("s"), "text value");
 }
 
 TEST(Config, MergeOtherWins) {
@@ -141,8 +140,8 @@ TEST(Config, MergeOtherWins) {
   a.set("only_a", "1");
   b.set("k", "new");
   a.merge(b);
-  EXPECT_EQ(a.get("k", ""), "new");
-  EXPECT_EQ(a.get("only_a", ""), "1");
+  EXPECT_EQ(a.get("k"), "new");
+  EXPECT_EQ(a.get("only_a"), "1");
 }
 
 TEST(Config, ParseFileRoundTrip) {
@@ -154,8 +153,8 @@ TEST(Config, ParseFileRoundTrip) {
   }
   Config c;
   ASSERT_TRUE(c.parse_file(path));
-  EXPECT_EQ(c.get_int("lustre.num_clients", 0), 3);
-  EXPECT_DOUBLE_EQ(c.get_double("drl.gamma", 0.0), 0.9);
+  EXPECT_EQ(c.get("lustre.num_clients"), "3");
+  EXPECT_EQ(c.get("drl.gamma"), "0.9");
   std::remove(path.c_str());
 }
 

@@ -60,6 +60,19 @@ TEST(ParseDouble, RejectsNonDecimalForms) {
   EXPECT_DOUBLE_EQ(v, 1.0);
 }
 
+TEST(ParseBool, AcceptsConfSpellingsOnly) {
+  bool v = false;
+  EXPECT_TRUE(parse_bool("On", &v));
+  EXPECT_TRUE(v);
+  EXPECT_TRUE(parse_bool("NO", &v));
+  EXPECT_FALSE(v);
+  for (const char* bad : {"maybe", "", " true", "2", "t"}) {
+    v = true;
+    EXPECT_FALSE(parse_bool(bad, &v)) << bad;
+    EXPECT_TRUE(v) << bad;  // failures leave the output untouched
+  }
+}
+
 TEST(ParseFlag, SplitsNameValueArguments) {
   std::string value;
   EXPECT_TRUE(parse_flag("--ticks=150", "--ticks", &value));

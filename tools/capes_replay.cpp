@@ -40,30 +40,30 @@ constexpr const char* kEpilogue =
     "seeded capture reproduces the live run's training fingerprint\n"
     "bit-for-bit; realtime paces one sampling tick per trace tick and\n"
     "fast runs 20x that.\n"
-    "--conf=FILE overlays engine/replay hyperparameters (core conf keys)\n"
-    "onto the traced configuration — same traffic, different tuner.\n"
+    "--conf=FILE overlays FILE's drl.* and replay.* keys onto the traced\n"
+    "configuration — same traffic, different tuner; other keys are\n"
+    "validated but do not apply, and an empty FILE replays the live run.\n"
     "--diff=FILE replays twice, the second time under FILE's keys, and\n"
     "prints the per-phase outcomes side by side.\n"
     "Torn/corrupt tails truncate at the last valid record (reported);\n"
     "only a capture with zero valid records fails.\n";
 
-bool load_overlay(const std::string& path, core::CapesOptions* out) {
-  util::Config cfg;
-  if (!cfg.parse_file(path)) {
+/// Reads and validates a conf overlay. The replayer applies it to the
+/// traced configuration; the defaults here only check every key parses.
+bool load_overlay(const std::string& path, util::Config* out) {
+  if (!out->parse_file(path)) {
     std::fprintf(stderr, "cannot parse config file '%s'\n", path.c_str());
     return false;
   }
-  *out = core::capes_options_from_config(cfg);
-  return true;
-}
-
-const char* speed_name(core::ReplaySpeed speed) {
-  switch (speed) {
-    case core::ReplaySpeed::kRealtime: return "realtime";
-    case core::ReplaySpeed::kFast: return "fast";
-    case core::ReplaySpeed::kMax: break;
+  core::CapesOptions capes;
+  lustre::ClusterOptions cluster;
+  std::string error;
+  if (!core::apply_config(*out, &capes, &cluster, &error)) {
+    std::fprintf(stderr, "config file '%s': %s\n", path.c_str(),
+                 error.c_str());
+    return false;
   }
-  return "max";
+  return true;
 }
 
 void print_report(const core::TraceReplayReport& report) {
@@ -117,11 +117,11 @@ void print_report(const core::TraceReplayReport& report) {
 }
 
 /// One replay pass. Returns false only on open failure.
-bool replay_once(const Args& args, const core::CapesOptions* overlay,
+bool replay_once(const Args& args, const util::Config* overlay,
                  core::TraceReplayReport* out) {
   core::TraceReplayOptions opts;
   opts.speed = args.speed;
-  opts.config_overlay = overlay;
+  opts.conf_overlay = overlay;
   core::TraceReplayer replayer;
   std::string error;
   if (!replayer.open(args.capture, opts, &error)) {
@@ -165,10 +165,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  core::CapesOptions conf_overlay;
+  util::Config conf_overlay;
   const bool have_conf = !args.conf.empty();
   if (have_conf && !load_overlay(args.conf, &conf_overlay)) return 2;
-  core::CapesOptions diff_overlay;
+  util::Config diff_overlay;
   const bool have_diff = !args.diff.empty();
   if (have_diff && !load_overlay(args.diff, &diff_overlay)) return 2;
 
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("replayed %s at %s speed%s\n", args.capture.c_str(),
-              speed_name(args.speed),
+              core::replay_speed_name(args.speed),
               have_conf ? (" with overlay " + args.conf).c_str() : "");
   if (report.read_stats.dropped_records > 0) {
     std::printf(

@@ -188,10 +188,8 @@ int main(int argc, char** argv) {
        }},
       {"--learner", "sync|async", "where DRL training steps run",
        [&](const std::string& v, std::string* why) {
-         if (v != "sync" && v != "async") {
-           *why = "expected sync or async";
-           return false;
-         }
+         core::LearnerMode mode = core::LearnerMode::kSync;
+         if (!core::parse_learner_mode(v, &mode, why)) return false;
          builder.learner(v);
          return true;
        }},

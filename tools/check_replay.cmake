@@ -1,7 +1,8 @@
 # Record → replay determinism smoke. Runs a short seeded capes_run with
 # --capture=, replays the wire log with capes_replay --speed=max, and
 # asserts both print the same "training fingerprint XXXXXXXX (N train
-# steps)" line — the round-trip guarantee, checked from the CLI surface.
+# steps)" line — the round-trip guarantee, checked from the CLI surface —
+# and that a replay under an empty --conf overlay prints it as well.
 # Run as:
 #
 #   cmake -DCAPES_RUN=<capes_run> -DCAPES_REPLAY=<capes_replay> \
@@ -53,4 +54,16 @@ if(NOT live_line STREQUAL replayed_line)
     "round-trip fingerprint mismatch:\n  live:     ${live_line}\n"
     "  replayed: ${replayed_line}")
 endif()
-message(STATUS "round trip reproduced '${live_line}'")
+
+# An empty --conf overlay lands on the traced configuration, so it must
+# replay the live run too, not a default-configured tuner.
+file(WRITE ${WORK_DIR}/empty.conf "")
+execute_process(
+  COMMAND ${CAPES_REPLAY} --capture=${capture_file} --conf=${WORK_DIR}/empty.conf
+  OUTPUT_VARIABLE overlay_out)
+string(FIND "${overlay_out}" "${live_line}" position)
+if(position EQUAL -1)
+  message(FATAL_ERROR "an empty --conf did not replay '${live_line}':\n"
+    "${overlay_out}")
+endif()
+message(STATUS "round trip and empty --conf both reproduced '${live_line}'")
