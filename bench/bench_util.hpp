@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -80,26 +79,15 @@ inline std::vector<util::Flag> bench_flags(std::int64_t* ticks,
                                            std::string* json_path,
                                            std::size_t* threads = nullptr,
                                            std::int64_t min_threads = 1) {
-  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
   std::vector<util::Flag> flags = {
       {"--ticks", "N", "training ticks per measured point",
-       [ticks](const std::string& v, std::string* why) {
-         return util::parse_int_flag(v, 1, kMax, ticks, why);
-       }},
+       util::store_int(ticks, 1)},
       {"--json", "FILE", "also write a machine-readable summary to FILE",
        util::store_to(json_path)},
   };
   if (threads != nullptr) {
     flags.push_back({"--threads", "N", "worker threads in the pool",
-                     [=](const std::string& v, std::string* why) {
-                       std::int64_t n = 0;
-                       if (!util::parse_int_flag(v, min_threads, kMax, &n,
-                                                 why)) {
-                         return false;
-                       }
-                       *threads = static_cast<std::size_t>(n);
-                       return true;
-                     }});
+                     util::store_int(threads, min_threads)});
   }
   return flags;
 }

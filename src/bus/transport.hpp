@@ -170,19 +170,12 @@ class FaultingTransport final : public Transport {
 std::unique_ptr<Transport> make_transport(const TransportOptions& opts);
 
 /// Parse "sync" / "sim[:k=v,...]" / "tcp:host=..,port=..[,...]" into
-/// *out. Returns false (with a human-readable *error echoing the
-/// offending key or token, if non-null) on an unknown scheme, an unknown
-/// option key, a malformed value, or an out-of-range value
-/// (latency_ticks < 0, jitter < 0, drop outside [0, 1), port outside
-/// [1, 65535], connect_timeout_ms < 0, io_threads outside [1, 64], or a
-/// tcp spec missing host or port).
+/// *out through the one spec grammar (util::parse_spec_options). Returns
+/// false (with *error, if non-null) on an unknown scheme, an item the
+/// grammar rejects, an out-of-range value (latency_ticks < 0, jitter < 0,
+/// drop outside [0, 1), port outside [1, 65535], connect_timeout_ms < 0,
+/// io_threads outside [1, 64]), or a tcp spec missing host or port.
 bool parse_transport_spec(std::string_view spec, TransportOptions* out,
                           std::string* error = nullptr);
-
-/// Canonical spec string for `opts` ("sync", "sim:latency_ticks=..."
-/// listing every sim knob with seed only when explicitly set, or
-/// "tcp:host=..,port=..,connect_timeout_ms=..,io_threads=..").
-/// Round-trips through parse_transport_spec.
-std::string transport_spec_string(const TransportOptions& opts);
 
 }  // namespace capes::bus

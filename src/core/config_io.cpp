@@ -154,7 +154,7 @@ bool faults_on(const CapesOptions& o) { return o.faults.enabled(); }
 /// Every conf key, with the clamps docs/CONFIG.md documents (the CLI
 /// flags and spec strings reject out-of-range values instead).
 constexpr ConfKey kConfKeys[] = {
-    {"capes.sampling_tick_s", F(&o.capes.sampling_tick_s)},
+    {"capes.sampling_tick_s", F(&o.capes.sampling_tick_s), 0.001},
     {"capes.reward_scale_mbs", F(&o.capes.reward_scale_mbs)},
     {"capes.replay_db_dir", F(&o.capes.replay_db_dir)},
     {"capes.capture.path", F(&o.capes.capture_path)},
@@ -195,7 +195,7 @@ constexpr ConfKey kConfKeys[] = {
     {"capes.learner.mode", F(&o.capes.engine.learner_mode)},
     {"capes.learner.checkpoint_ticks", F(&o.capes.engine.checkpoint_ticks)},
 
-    {"drl.minibatch_size", F(&o.capes.engine.minibatch_size)},
+    {"drl.minibatch_size", F(&o.capes.engine.minibatch_size), 1},
     {"drl.train_steps_per_tick", F(&o.capes.engine.train_steps_per_tick)},
     {"drl.eval_epsilon", F(&o.capes.engine.eval_epsilon)},
     {"drl.gamma", F(&o.capes.engine.dqn.gamma)},
@@ -209,12 +209,12 @@ constexpr ConfKey kConfKeys[] = {
     {"drl.epsilon_anneal_ticks", F(&o.capes.engine.epsilon.anneal_ticks)},
     {"drl.epsilon_bump", F(&o.capes.engine.epsilon.bump_value)},
     {"replay.ticks_per_observation",
-     F(&o.capes.replay.ticks_per_observation)},
+     F(&o.capes.replay.ticks_per_observation), 1},
     {"replay.missing_tolerance", F(&o.capes.replay.missing_tolerance)},
     {"replay.max_ticks_retained", F(&o.capes.replay.max_ticks_retained)},
 
-    {"lustre.num_clients", F(&o.cluster.num_clients)},
-    {"lustre.num_servers", F(&o.cluster.num_servers)},
+    {"lustre.num_clients", F(&o.cluster.num_clients), 1},
+    {"lustre.num_servers", F(&o.cluster.num_servers), 1},
     {"lustre.default_cwnd", F(&o.cluster.default_cwnd)},
     {"lustre.cwnd_min", F(&o.cluster.cwnd_min)},
     {"lustre.cwnd_max", F(&o.cluster.cwnd_max)},

@@ -1,29 +1,13 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "util/parse.hpp"
+#include "util/cli.hpp"
+#include "util/rng.hpp"
 
 namespace capes::sim {
 
 namespace {
-
-/// splitmix64 finalizer — the per-fate hash (the SimTransport pattern).
-/// Statistically strong enough for a rate model and, unlike a shared RNG
-/// stream, order-independent: the fate of (kind, node, tick) never
-/// depends on which other fates were evaluated before it.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Map a 64-bit hash to a uniform double in [0, 1).
-double to_unit(std::uint64_t x) {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
 
 /// Independent per-(kind, node, tick) draw: chain the key through the
 /// mixer once per field (counter mode), tagged so distinct kinds see
@@ -32,10 +16,10 @@ bool fate_starts(const FaultPlan& plan, double rate, std::uint64_t kind_tag,
                  std::uint64_t node_key, std::int64_t tick) {
   if (rate <= 0.0 || tick < 0) return false;
   std::uint64_t key = plan.seed;
-  key = mix64(key ^ mix64(kind_tag));
-  key = mix64(key ^ mix64(node_key ^ 0x6e6f6465ULL));  // "node"
-  key = mix64(key ^ static_cast<std::uint64_t>(tick));
-  return to_unit(mix64(key)) < rate;
+  key = util::mix64(key ^ util::mix64(kind_tag));
+  key = util::mix64(key ^ util::mix64(node_key ^ 0x6e6f6465ULL));  // "node"
+  key = util::mix64(key ^ static_cast<std::uint64_t>(tick));
+  return util::to_unit(util::mix64(key)) < rate;
 }
 
 /// Window membership: active at `tick` iff some start within the last
@@ -92,122 +76,42 @@ bool domain_partitioned(const FaultPlan& plan, std::uint32_t domain,
   });
 }
 
-namespace {
-
-bool spec_fail(std::string* error, std::string message) {
-  if (error) *error = std::move(message);
-  return false;
-}
-
-}  // namespace
-
 bool parse_fault_spec(std::string_view spec, FaultPlan* out,
                       std::string* error) {
-  FaultPlan parsed;
-  std::string_view scheme = spec;
-  std::string_view opts_part;
-  const std::size_t colon = spec.find(':');
-  if (colon != std::string_view::npos) {
-    scheme = spec.substr(0, colon);
-    opts_part = spec.substr(colon + 1);
-  }
-
-  if (scheme == "off") {
-    if (colon != std::string_view::npos) {
-      return spec_fail(error, "fault spec 'off' takes no options");
-    }
-    *out = parsed;
-    return true;
-  }
-  if (scheme != "faults") {
-    return spec_fail(error, "unknown fault spec '" + std::string(scheme) +
-                                "' (expected off or faults)");
-  }
-
-  auto parse_rate = [&](std::string_view key, std::string_view value,
-                        double* slot) {
-    if (!util::parse_double(value, slot) || *slot < 0.0 || *slot >= 1.0) {
-      return spec_fail(error, std::string(key) +
-                                  " must be a probability in [0, 1), got '" +
-                                  std::string(value) + "'");
-    }
-    return true;
+  FaultPlan p;
+  const util::SpecParts parts = util::split_spec(spec);
+  const auto rate = [](double* r) {
+    return util::store_double(r, 0.0, 1.0, true);
   };
-  auto parse_window = [&](std::string_view key, std::string_view value,
-                          std::int64_t* slot) {
-    if (!util::parse_i64(value, slot) || *slot < 1) {
-      return spec_fail(error, std::string(key) +
-                                  " must be an integer >= 1, got '" +
-                                  std::string(value) + "'");
-    }
-    return true;
-  };
-
-  while (!opts_part.empty()) {
-    const std::size_t comma = opts_part.find(',');
-    std::string_view item = opts_part.substr(0, comma);
-    opts_part = comma == std::string_view::npos
-                    ? std::string_view{}
-                    : opts_part.substr(comma + 1);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      return spec_fail(error, "malformed fault option '" + std::string(item) +
-                                  "' (expected key=value)");
-    }
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (key == "ost_crash") {
-      if (!parse_rate(key, value, &parsed.ost_crash)) return false;
-    } else if (key == "restart_ticks") {
-      if (!parse_window(key, value, &parsed.restart_ticks)) return false;
-    } else if (key == "straggler") {
-      if (!parse_rate(key, value, &parsed.straggler)) return false;
-    } else if (key == "slow_factor") {
-      if (!util::parse_double(value, &parsed.slow_factor) ||
-          parsed.slow_factor < 1.0) {
-        return spec_fail(error, "slow_factor must be a number >= 1, got '" +
-                                    std::string(value) + "'");
-      }
-    } else if (key == "straggler_ticks") {
-      if (!parse_window(key, value, &parsed.straggler_ticks)) return false;
-    } else if (key == "partition") {
-      if (!parse_rate(key, value, &parsed.partition)) return false;
-    } else if (key == "partition_ticks") {
-      if (!parse_window(key, value, &parsed.partition_ticks)) return false;
-    } else if (key == "seed") {
-      if (!util::parse_u64(value, &parsed.seed)) {
-        return spec_fail(error, "seed must be an unsigned integer, got '" +
-                                    std::string(value) + "'");
-      }
-      parsed.seed_explicit = true;
-    } else {
-      return spec_fail(error, "unknown fault kind or option '" +
-                                  std::string(key) +
-                                  "' (expected ost_crash, restart_ticks, "
-                                  "straggler, slow_factor, straggler_ticks, "
-                                  "partition, partition_ticks, or seed)");
-    }
+  const auto window = [](std::int64_t* w) { return util::store_int(w, 1); };
+  std::string why;
+  bool ok = true;
+  if (parts.name == "off" && parts.options) {
+    ok = false;
+    why = "fault spec 'off' takes no options";
+  } else if (parts.name == "faults") {
+    ok = util::parse_spec_options(
+        parts.options,
+        {{"ost_crash", "P", "", rate(&p.ost_crash)},
+         {"restart_ticks", "N", "", window(&p.restart_ticks)},
+         {"straggler", "P", "", rate(&p.straggler)},
+         {"slow_factor", "X", "", util::store_double(&p.slow_factor, 1.0)},
+         {"straggler_ticks", "N", "", window(&p.straggler_ticks)},
+         {"partition", "P", "", rate(&p.partition)},
+         {"partition_ticks", "N", "", window(&p.partition_ticks)},
+         {"seed", "N", "", util::store_seed(&p.seed, &p.seed_explicit)}},
+        "fault", &why);
+  } else if (parts.name != "off") {
+    ok = false;
+    why = "unknown fault spec '" + std::string(parts.name) +
+          "' (expected off or faults)";
   }
-  *out = parsed;
+  if (!ok) {
+    if (error) *error = why;
+    return false;
+  }
+  *out = p;
   return true;
-}
-
-std::string fault_spec_string(const FaultPlan& plan) {
-  if (!plan.enabled() && !plan.seed_explicit) return "off";
-  // %.17g is the shortest printf precision that reproduces any double
-  // exactly, keeping the documented round-trip value-lossless.
-  char buffer[224];
-  std::snprintf(buffer, sizeof(buffer),
-                "faults:ost_crash=%.17g,restart_ticks=%lld,straggler=%.17g,"
-                "slow_factor=%.17g,straggler_ticks=%lld,partition=%.17g,"
-                "partition_ticks=%lld",
-                plan.ost_crash, static_cast<long long>(plan.restart_ticks),
-                plan.straggler, plan.slow_factor,
-                static_cast<long long>(plan.straggler_ticks), plan.partition,
-                static_cast<long long>(plan.partition_ticks));
-  std::string spec = buffer;
-  if (plan.seed_explicit) spec += ",seed=" + std::to_string(plan.seed);
-  return spec;
 }
 
 FaultInjector::FaultInjector(Simulator& sim, const FaultPlan& plan,

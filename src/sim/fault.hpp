@@ -105,18 +105,13 @@ bool partition_starts(const FaultPlan& plan, std::uint32_t domain,
 bool domain_partitioned(const FaultPlan& plan, std::uint32_t domain,
                         std::int64_t tick);
 
-/// Parse "off" / "faults[:k=v,...]" into *out. Returns false (with a
-/// human-readable *error echoing the offending key or token, if non-null)
-/// on an unknown scheme, an unknown option key, a malformed value, or an
+/// Parse "off" / "faults[:k=v,...]" into *out through the one spec
+/// grammar (util::parse_spec_options). Returns false (with *error, if
+/// non-null) on an unknown scheme, an item the grammar rejects, or an
 /// out-of-range value (rates outside [0, 1), window tick counts < 1,
 /// slow_factor < 1).
 bool parse_fault_spec(std::string_view spec, FaultPlan* out,
                       std::string* error = nullptr);
-
-/// Canonical spec string for `plan` ("off" when no rate is set, else
-/// "faults:ost_crash=..." listing every knob with seed only when
-/// explicitly set). Round-trips through parse_fault_spec.
-std::string fault_spec_string(const FaultPlan& plan);
 
 /// What a target system exposes to the injector: a dense index of
 /// fault-capable nodes (the lustre adapter's OST servers) plus the

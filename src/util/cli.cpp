@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -17,6 +18,12 @@ std::string invalid_value(const std::string& name, const std::string& value,
   std::string msg = "invalid value for " + name + ": '" + value + "'";
   if (!reason.empty()) msg += " (" + reason + ")";
   return msg;
+}
+
+std::string number(double x) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%g", x);
+  return buffer;
 }
 
 std::string spelled(const Flag& flag) {
@@ -165,6 +172,91 @@ bool parse_int_flag(const std::string& value, std::int64_t lo,
               std::to_string(hi) + "]";
   }
   return false;
+}
+
+bool parse_double_flag(const std::string& value, double lo, double hi,
+                       bool hi_open, double* out, std::string* reason) {
+  double parsed = 0.0;
+  if (parse_double(value, &parsed) && parsed >= lo &&
+      (hi_open ? parsed < hi : parsed <= hi)) {
+    *out = parsed;
+    return true;
+  }
+  if (std::isinf(hi)) {
+    *reason = "expected a number >= " + number(lo);
+  } else {
+    *reason = "expected a number in [" + number(lo) + ", " + number(hi) +
+              (hi_open ? ")" : "]");
+  }
+  return false;
+}
+
+FlagHandler store_double(double* out, double lo, double hi, bool hi_open) {
+  return [=](const std::string& value, std::string* reason) {
+    return parse_double_flag(value, lo, hi, hi_open, out, reason);
+  };
+}
+
+FlagHandler store_seed(std::uint64_t* out, bool* given) {
+  return [=](const std::string& value, std::string* reason) {
+    if (!parse_u64(value, out)) {
+      *reason = "expected an unsigned integer";
+      return false;
+    }
+    if (given != nullptr) *given = true;
+    return true;
+  };
+}
+
+SpecParts split_spec(std::string_view spec) {
+  const std::size_t colon = spec.find(':');
+  if (colon == std::string_view::npos) return {spec, std::nullopt};
+  return {spec.substr(0, colon), spec.substr(colon + 1)};
+}
+
+bool parse_spec_options(SpecOptions options, const std::vector<Flag>& table,
+                        const std::string& what, std::string* error) {
+  if (!options) return true;
+  std::vector<char> seen(table.size(), 0);
+  // The message for one item; "" when its handler took it.
+  const auto take = [&](const std::string& item) -> std::string {
+    const std::size_t eq = item.find('=');
+    const bool bare = eq == std::string::npos;
+    const std::string key = bare ? "" : item.substr(0, eq);
+    const std::string value = bare ? item : item.substr(eq + 1);
+    const auto flag = std::find_if(
+        table.begin(), table.end(), [&](const Flag& f) { return f.name == key; });
+    if (item.empty() || eq == 0 || (bare && flag == table.end())) {
+      return "malformed " + what + " option '" + item +
+             "' (expected key=value)";
+    }
+    if (flag == table.end()) {
+      std::string keys;
+      for (const Flag& f : table) {
+        if (f.name.empty()) continue;
+        if (!keys.empty()) keys += &f == &table.back() ? " or " : ", ";
+        keys += f.name;
+      }
+      return "unknown " + what + " option '" + key + "' (expected " + keys +
+             ")";
+    }
+    std::string reason = "repeated option";
+    char& taken = seen[static_cast<std::size_t>(flag - table.begin())];
+    if (!taken && flag->handle(value, &reason)) {
+      taken = 1;
+      return "";
+    }
+    return invalid_value(bare ? flag->metavar : key, value, reason);
+  };
+  const std::string_view text = *options;
+  std::string message;
+  for (std::size_t start = 0; message.empty() && start <= text.size();) {
+    const std::size_t comma = std::min(text.find(',', start), text.size());
+    message = take(std::string(text.substr(start, comma - start)));
+    start = comma + 1;
+  }
+  if (!message.empty() && error != nullptr) *error = message;
+  return message.empty();
 }
 
 }  // namespace capes::util

@@ -80,8 +80,4 @@ std::string Config::dump() const {
   return ss.str();
 }
 
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
-}
-
 }  // namespace capes::util

@@ -41,9 +41,6 @@ class Config {
   /// Serialize back to `key = value` lines, sorted by key.
   std::string dump() const;
 
-  /// Merge another config over this one (other wins on conflicts).
-  void merge(const Config& other);
-
   std::size_t size() const { return values_.size(); }
 
  private:

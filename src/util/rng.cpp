@@ -6,21 +6,17 @@ namespace capes::util {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  // The splitmix64 generator: mix64 of a counter stepping by its
+  // increment.
+  for (auto& s : s_) {
+    s = mix64(seed);
+    seed += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 std::uint64_t Rng::next_u64() {
@@ -35,10 +31,7 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return to_unit(next_u64()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 

@@ -10,6 +10,23 @@
 
 namespace capes::util {
 
+/// The splitmix64 finalizer. Rng seeds itself with it, and the hash fates
+/// (bus::SimTransport's per-message drop/jitter, sim/fault.hpp's fault
+/// starts) chain keys through it: unlike a shared RNG stream it is
+/// order-independent, so a fate never depends on which others were drawn
+/// before it.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// 53 bits of a 64-bit value as a uniform double in [0, 1).
+constexpr double to_unit(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 /// xoshiro256** PRNG (Blackman & Vigna), seeded via splitmix64.
 /// Fast, high quality, and deterministic across platforms.
 class Rng {

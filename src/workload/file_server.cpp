@@ -100,15 +100,17 @@ void register_file_server(Registry& registry) {
       "fileserver",
       "fileserver[:seed=N][,instances=N][,files=N] — Filebench-style "
       "create/append/read/delete/stat mix (§4.3, Fig. 3)",
-      [](lustre::Cluster& cluster, const SpecArgs& raw, std::string* error)
-          -> std::unique_ptr<Workload> {
-        SpecArgs args = raw;
+      [](lustre::Cluster& cluster, util::SpecOptions options,
+         std::string* error) -> std::unique_ptr<Workload> {
         FileServerOptions opts;
-        if (!spec::take_u64(args, "seed", &opts.seed, error) ||
-            !spec::take_size(args, "instances", &opts.instances_per_client,
-                             error) ||
-            !spec::take_size(args, "files", &opts.files_per_instance, error) ||
-            !spec::reject_unknown(args, 0, error)) {
+        if (!util::parse_spec_options(
+                options,
+                {{"seed", "N", "", util::store_seed(&opts.seed)},
+                 {"instances", "N", "",
+                  util::store_int(&opts.instances_per_client, 1)},
+                 {"files", "N", "",
+                  util::store_int(&opts.files_per_instance, 1)}},
+                "fileserver", error)) {
           return nullptr;
         }
         return std::make_unique<FileServer>(cluster, opts);

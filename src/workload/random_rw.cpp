@@ -3,7 +3,6 @@
 #include <memory>
 #include <sstream>
 
-#include "util/parse.hpp"
 #include "workload/registry.hpp"
 
 namespace capes::workload {
@@ -51,23 +50,17 @@ void register_random_rw(Registry& registry) {
       "random",
       "random[:<read_frac>][,seed=N][,threads=N] — fixed-ratio random R/W "
       "mix (§4.3, Fig. 2); read_frac in [0, 1]",
-      [](lustre::Cluster& cluster, const SpecArgs& raw, std::string* error)
-          -> std::unique_ptr<Workload> {
-        SpecArgs args = raw;
+      [](lustre::Cluster& cluster, util::SpecOptions options,
+         std::string* error) -> std::unique_ptr<Workload> {
         RandomRwOptions opts;
-        if (!args.positional.empty()) {
-          if (!util::parse_double(args.positional[0], &opts.read_fraction) ||
-              opts.read_fraction < 0.0 || opts.read_fraction > 1.0) {
-            if (error) {
-              *error = "read fraction must be a number in [0, 1], got '" +
-                       args.positional[0] + "'";
-            }
-            return nullptr;
-          }
-        }
-        if (!spec::take_u64(args, "seed", &opts.seed, error) ||
-            !spec::take_size(args, "threads", &opts.threads_per_client, error) ||
-            !spec::reject_unknown(args, 1, error)) {
+        if (!util::parse_spec_options(
+                options,
+                {{"", "read_frac", "",
+                  util::store_double(&opts.read_fraction, 0.0, 1.0)},
+                 {"seed", "N", "", util::store_seed(&opts.seed)},
+                 {"threads", "N", "",
+                  util::store_int(&opts.threads_per_client, 1)}},
+                "random", error)) {
           return nullptr;
         }
         return std::make_unique<RandomRw>(cluster, opts);

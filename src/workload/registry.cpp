@@ -1,94 +1,10 @@
 #include "workload/registry.hpp"
 
-#include <algorithm>
-
-#include "util/parse.hpp"
 #include "workload/file_server.hpp"
 #include "workload/random_rw.hpp"
 #include "workload/seq_write.hpp"
 
 namespace capes::workload {
-
-namespace spec {
-
-namespace {
-
-/// Looks up `key`, erases it, and hands the raw value to `convert`.
-template <typename T, typename Convert>
-bool take(SpecArgs& args, const std::string& key, T* out, std::string* error,
-          Convert convert) {
-  const auto it = args.named.find(key);
-  if (it == args.named.end()) return true;  // absent keeps the default
-  if (!convert(it->second, out)) {
-    if (error) *error = "invalid value for '" + key + "': " + it->second;
-    return false;
-  }
-  args.named.erase(it);
-  return true;
-}
-
-}  // namespace
-
-bool take_u64(SpecArgs& args, const std::string& key, std::uint64_t* out,
-              std::string* error) {
-  return take(args, key, out, error, [](const std::string& s, std::uint64_t* v) {
-    return util::parse_u64(s, v);
-  });
-}
-
-bool take_size(SpecArgs& args, const std::string& key, std::size_t* out,
-               std::string* error) {
-  // Size-like knobs (threads, instances, streams) must also be non-zero.
-  return take(args, key, out, error, [](const std::string& s, std::size_t* v) {
-    std::uint64_t u = 0;
-    if (!util::parse_u64(s, &u) || u == 0) return false;
-    *v = static_cast<std::size_t>(u);
-    return true;
-  });
-}
-
-bool reject_unknown(const SpecArgs& args, std::size_t max_positional,
-                    std::string* error) {
-  if (!args.named.empty()) {
-    if (error) *error = "unknown spec key '" + args.named.begin()->first + "'";
-    return false;
-  }
-  if (args.positional.size() > max_positional) {
-    if (error) {
-      *error = "unexpected argument '" + args.positional[max_positional] + "'";
-    }
-    return false;
-  }
-  return true;
-}
-
-}  // namespace spec
-
-bool parse_spec_args(const std::string& args, SpecArgs* out, std::string* error) {
-  std::size_t pos = 0;
-  while (pos <= args.size()) {
-    const std::size_t comma = std::min(args.find(',', pos), args.size());
-    const std::string token = args.substr(pos, comma - pos);
-    if (token.empty()) {
-      if (error) *error = "empty spec argument";
-      return false;
-    }
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      out->positional.push_back(token);
-    } else {
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key.empty() || value.empty()) {
-        if (error) *error = "malformed spec argument '" + token + "'";
-        return false;
-      }
-      out->named[key] = value;
-    }
-    pos = comma + 1;
-  }
-  return true;
-}
 
 Registry& Registry::instance() {
   // The bundled workloads live in this static library; a pure
@@ -116,22 +32,16 @@ bool Registry::add(std::string name, std::string spec_help, Factory factory) {
 std::unique_ptr<Workload> Registry::create(const std::string& spec,
                                            lustre::Cluster& cluster,
                                            std::string* error) const {
-  const std::size_t colon = spec.find(':');
-  const std::string name = spec.substr(0, colon);
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    if (error) *error = "unknown workload '" + name + "'";
-    return nullptr;
+  const util::SpecParts parts = util::split_spec(spec);
+  const auto it = entries_.find(std::string(parts.name));
+  std::string why = "unknown workload '" + std::string(parts.name) + "'";
+  std::unique_ptr<Workload> workload;
+  if (it != entries_.end()) {
+    why = "invalid options";  // a factory that fails without saying why
+    workload = it->second.factory(cluster, parts.options, &why);
   }
-  SpecArgs args;
-  if (colon != std::string::npos &&
-      !parse_spec_args(spec.substr(colon + 1), &args, error)) {
-    return nullptr;
-  }
-  std::string local_error;
-  auto workload = it->second.factory(cluster, args, &local_error);
   if (!workload && error) {
-    *error = name + ": " + (local_error.empty() ? "invalid spec" : local_error);
+    *error = "invalid workload spec '" + spec + "': " + why;
   }
   return workload;
 }

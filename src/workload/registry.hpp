@@ -6,10 +6,11 @@
 // adding a workload is one self-contained file plus a registration line —
 // no CLI or facade changes.
 //
-// Spec grammar:  <name>[:<arg>[,<arg>...]]
-// where each <arg> is either positional (meaning defined by the workload,
-// e.g. the random read fraction) or a <key>=<value> pair. The registered
-// factory owns parsing and validation of its own args.
+// Spec grammar: the one every spec flag shares (util::parse_spec_options),
+//   <name>[:<key>=<value>[,<key>=<value>...]]
+// The registered factory declares a util::Flag table over its options
+// struct and parses the option text with it; a table may have one
+// positional entry (random's read fraction: "random:0.3,seed=7").
 
 #include <functional>
 #include <map>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "util/cli.hpp"
 #include "workload/workload.hpp"
 
 namespace capes::lustre {
@@ -25,24 +27,13 @@ class Cluster;
 
 namespace capes::workload {
 
-class Registry;
-
-/// Pre-split spec arguments handed to a workload factory.
-struct SpecArgs {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> named;
-};
-
-/// Split the comma-separated argument list of a spec. Returns false (with
-/// *error set) on malformed input such as an empty "key=" value.
-bool parse_spec_args(const std::string& args, SpecArgs* out, std::string* error);
-
 class Registry {
  public:
-  /// Builds a workload on `cluster` from the (already name-stripped) spec
-  /// args. Returns nullptr and sets *error on invalid args.
+  /// Builds a workload on `cluster` from the spec's option text (nullopt
+  /// for a bare name). Returns nullptr and sets *error on invalid options.
   using Factory = std::function<std::unique_ptr<Workload>(
-      lustre::Cluster& cluster, const SpecArgs& args, std::string* error)>;
+      lustre::Cluster& cluster, util::SpecOptions options,
+      std::string* error)>;
 
   /// The process-wide registry, with the bundled workloads registered.
   static Registry& instance();
@@ -52,8 +43,9 @@ class Registry {
   bool add(std::string name, std::string spec_help, Factory factory);
 
   /// Resolve a full spec ("name" or "name:args") into a workload bound to
-  /// `cluster`. Returns nullptr and sets *error (if non-null) on an
-  /// unknown name or a spec the workload's parser rejects.
+  /// `cluster`. Returns nullptr and sets *error (if non-null) to
+  /// `invalid workload spec 'SPEC': why` on an unknown name or a spec the
+  /// workload's parser rejects.
   std::unique_ptr<Workload> create(const std::string& spec,
                                    lustre::Cluster& cluster,
                                    std::string* error = nullptr) const;
@@ -69,25 +61,6 @@ class Registry {
   };
   std::map<std::string, Entry> entries_;
 };
-
-namespace spec {
-
-// Small helpers for workload spec parsers. "take_*" consume a named key
-// (so unknown leftovers can be rejected) and fail on unparsable values;
-// reject_unknown() is the parser's closing check.
-
-bool take_u64(SpecArgs& args, const std::string& key, std::uint64_t* out,
-              std::string* error);
-/// Like take_u64 but additionally rejects 0 (size-like knobs).
-bool take_size(SpecArgs& args, const std::string& key, std::size_t* out,
-               std::string* error);
-
-/// True iff no named keys remain and at most `max_positional` positional
-/// args were supplied; otherwise sets *error naming the offender.
-bool reject_unknown(const SpecArgs& args, std::size_t max_positional,
-                    std::string* error);
-
-}  // namespace spec
 
 /// Self-registration hook for workloads defined outside this library (the
 /// registrar runs at static-init time of the defining translation unit).

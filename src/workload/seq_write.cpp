@@ -36,13 +36,15 @@ void register_seq_write(Registry& registry) {
       "seqwrite",
       "seqwrite[:streams=N][,seed=N] — concurrent sequential append "
       "streams (HPC checkpoint / surveillance, §4.3)",
-      [](lustre::Cluster& cluster, const SpecArgs& raw, std::string* error)
-          -> std::unique_ptr<Workload> {
-        SpecArgs args = raw;
+      [](lustre::Cluster& cluster, util::SpecOptions options,
+         std::string* error) -> std::unique_ptr<Workload> {
         SeqWriteOptions opts;
-        if (!spec::take_u64(args, "seed", &opts.seed, error) ||
-            !spec::take_size(args, "streams", &opts.streams_per_client, error) ||
-            !spec::reject_unknown(args, 0, error)) {
+        if (!util::parse_spec_options(
+                options,
+                {{"streams", "N", "",
+                  util::store_int(&opts.streams_per_client, 1)},
+                 {"seed", "N", "", util::store_seed(&opts.seed)}},
+                "seqwrite", error)) {
           return nullptr;
         }
         return std::make_unique<SeqWrite>(cluster, opts);

@@ -357,6 +357,11 @@ capes.worker_threads = -3
 capes.sim.shards = -2
 capes.sim.faults.slow_factor = 0.5
 replay.max_ticks_retained = -1
+capes.sampling_tick_s = 0
+drl.minibatch_size = 0
+replay.ticks_per_observation = 0
+lustre.num_clients = 0
+lustre.num_servers = -2
 )"));
   const CapesOptions o = capes_overlay(cfg);
   EXPECT_DOUBLE_EQ(o.transport.drop, 0.999);
@@ -366,6 +371,14 @@ replay.max_ticks_retained = -1
   EXPECT_EQ(o.sim_shards, 1u);
   EXPECT_DOUBLE_EQ(o.faults.slow_factor, 1.0);
   EXPECT_EQ(o.replay.max_ticks_retained, 0u);  // unsigned: negatives -> 0
+  // Keys that size or drive the run have a floor: 0 would crash the
+  // simulator or train on empty input.
+  EXPECT_DOUBLE_EQ(o.sampling_tick_s, 0.001);
+  EXPECT_EQ(o.engine.minibatch_size, 1u);
+  EXPECT_EQ(o.replay.ticks_per_observation, 1u);
+  const lustre::ClusterOptions c = cluster_overlay(cfg);
+  EXPECT_EQ(c.num_clients, 1u);
+  EXPECT_EQ(c.num_servers, 1u);
 }
 
 TEST(ConfigIo, ConfigDocListsEveryConfKey) {

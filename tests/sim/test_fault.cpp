@@ -1,5 +1,5 @@
 // Deterministic fault injection: the strict spec grammar (parse /
-// reject / canonical echo), fate purity (order- and thread-count-
+// reject), fate purity (order- and thread-count-
 // independence of the crash/straggler/partition hashes), the injector's
 // exact restart scheduling against the pure window predicates, and the
 // zero-rate plan being a true no-op object.
@@ -22,7 +22,6 @@ TEST(FaultSpec, OffParsesToDisabledPlan) {
   std::string error;
   ASSERT_TRUE(parse_fault_spec("off", &plan, &error)) << error;
   EXPECT_FALSE(plan.enabled());
-  EXPECT_EQ(fault_spec_string(plan), "off");
 }
 
 TEST(FaultSpec, FullSpecRoundTrips) {
@@ -44,21 +43,6 @@ TEST(FaultSpec, FullSpecRoundTrips) {
   EXPECT_EQ(plan.partition_ticks, 7);
   EXPECT_EQ(plan.seed, 99u);
   EXPECT_TRUE(plan.seed_explicit);
-
-  // The canonical echo re-parses to an identical plan (%.17g keeps every
-  // double value-lossless).
-  FaultPlan reparsed;
-  ASSERT_TRUE(parse_fault_spec(fault_spec_string(plan), &reparsed, &error))
-      << error;
-  EXPECT_DOUBLE_EQ(reparsed.ost_crash, plan.ost_crash);
-  EXPECT_EQ(reparsed.restart_ticks, plan.restart_ticks);
-  EXPECT_DOUBLE_EQ(reparsed.straggler, plan.straggler);
-  EXPECT_DOUBLE_EQ(reparsed.slow_factor, plan.slow_factor);
-  EXPECT_EQ(reparsed.straggler_ticks, plan.straggler_ticks);
-  EXPECT_DOUBLE_EQ(reparsed.partition, plan.partition);
-  EXPECT_EQ(reparsed.partition_ticks, plan.partition_ticks);
-  EXPECT_EQ(reparsed.seed, plan.seed);
-  EXPECT_TRUE(reparsed.seed_explicit);
 }
 
 TEST(FaultSpec, BareFaultsSchemeIsValidButDisabled) {
@@ -105,10 +89,12 @@ TEST(FaultSpec, RejectionLeavesOutputUntouched) {
 TEST(FaultSpec, SeedOnlyEchoesExplicitly) {
   FaultPlan plan;
   std::string error;
+  // config_from_options() writes the seed key only when seed_explicit.
   ASSERT_TRUE(parse_fault_spec("faults:ost_crash=0.01", &plan, &error));
-  EXPECT_EQ(fault_spec_string(plan).find("seed="), std::string::npos);
+  EXPECT_FALSE(plan.seed_explicit);
   ASSERT_TRUE(parse_fault_spec("faults:ost_crash=0.01,seed=5", &plan, &error));
-  EXPECT_NE(fault_spec_string(plan).find("seed=5"), std::string::npos);
+  EXPECT_TRUE(plan.seed_explicit);
+  EXPECT_EQ(plan.seed, 5u);
 }
 
 // ---- pure fates -----------------------------------------------------------

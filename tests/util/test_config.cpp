@@ -134,16 +134,6 @@ TEST(Config, DumpParsesBack) {
   EXPECT_EQ(c2.get("s"), "text value");
 }
 
-TEST(Config, MergeOtherWins) {
-  Config a, b;
-  a.set("k", "old");
-  a.set("only_a", "1");
-  b.set("k", "new");
-  a.merge(b);
-  EXPECT_EQ(a.get("k"), "new");
-  EXPECT_EQ(a.get("only_a"), "1");
-}
-
 TEST(Config, ParseFileRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "capes_cfg_test.conf").string();

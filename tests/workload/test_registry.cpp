@@ -95,16 +95,6 @@ TEST_F(RegistryTest, UnknownOrMalformedArgsFail) {
   EXPECT_EQ(registry.create("random:seed=", cluster, &error), nullptr);
 }
 
-TEST(RegistrySpecArgs, SplitsPositionalAndNamed) {
-  SpecArgs args;
-  std::string error;
-  ASSERT_TRUE(parse_spec_args("0.3,seed=7,threads=2", &args, &error)) << error;
-  ASSERT_EQ(args.positional.size(), 1u);
-  EXPECT_EQ(args.positional[0], "0.3");
-  EXPECT_EQ(args.named.at("seed"), "7");
-  EXPECT_EQ(args.named.at("threads"), "2");
-}
-
 // A minimal workload defined and registered entirely outside the library,
 // the way a downstream binary would plug one in.
 class NullWorkload : public Workload {
@@ -116,7 +106,7 @@ class NullWorkload : public Workload {
 };
 
 CAPES_REGISTER_WORKLOAD(null_workload, "null", "null — does nothing",
-                        [](lustre::Cluster&, const SpecArgs&, std::string*) {
+                        [](lustre::Cluster&, util::SpecOptions, std::string*) {
                           return std::make_unique<NullWorkload>();
                         })
 
@@ -129,7 +119,7 @@ TEST_F(RegistryTest, MacroSelfRegistrationWorks) {
 
 TEST_F(RegistryTest, DuplicateNameIsRejected) {
   EXPECT_FALSE(registry.add(
-      "random", "dup", [](lustre::Cluster&, const SpecArgs&, std::string*) {
+      "random", "dup", [](lustre::Cluster&, util::SpecOptions, std::string*) {
         return std::unique_ptr<Workload>();
       }));
 }

@@ -46,7 +46,6 @@ constexpr const char* kEpilogue =
 
 int main(int argc, char** argv) {
   constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
-  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
   std::string host = "127.0.0.1";
   std::int64_t port = 4890;  // 0 = ephemeral: the kernel picks
   std::int64_t accept_timeout_ms = 30000;
@@ -55,17 +54,11 @@ int main(int argc, char** argv) {
   const std::vector<util::Flag> flags = {
       {"--host", "ADDR", "listen address", util::store_to(&host)},
       {"--port", "N", "listen port (0 = ephemeral, printed on startup)",
-       [&](const std::string& v, std::string* why) {
-         return util::parse_int_flag(v, 0, 65535, &port, why);
-       }},
+       util::store_int(&port, 0, 65535)},
       {"--accept-timeout-ms", "N", "wait this long for the agent (-1 = forever)",
-       [&](const std::string& v, std::string* why) {
-         return util::parse_int_flag(v, kMin, kMax, &accept_timeout_ms, why);
-       }},
+       util::store_int(&accept_timeout_ms, kMin)},
       {"--idle-timeout-ms", "N", "declare a silent agent dead (0 = never)",
-       [&](const std::string& v, std::string* why) {
-         return util::parse_int_flag(v, 0, kMax, &idle_timeout_ms, why);
-       }},
+       util::store_int(&idle_timeout_ms, 0)},
   };
   if (auto rc = util::parse_command_line(argc, argv, "capes_daemond", flags,
                                          kEpilogue)) {

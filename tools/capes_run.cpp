@@ -135,9 +135,7 @@ int main(int argc, char** argv) {
          return true;
        }},
       {"--clusters", "N", "replicate a single --workload spec across N clusters",
-       [&](const std::string& v, std::string* why) {
-         return util::parse_int_flag(v, 1, kNoMax, &clusters, why);
-       }},
+       util::store_int(&clusters, 1)},
       {"--threads", "N", "worker threads for the per-tick hot path (0 = off)",
        [&](const std::string& v, std::string* why) {
          std::int64_t threads = 0;
